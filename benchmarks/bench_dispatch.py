@@ -6,8 +6,9 @@ dispatch becomes a single int-dict hit on ids the world already stores.
 This benchmark pins the acceptance bar — **>= 2x over the legacy
 dispatch** — on the real dispatch stream of the n = 64 aggregation
 workload (the same workload as ``bench_schedulers.py``): every
-``evaluate`` call of a 200-event cached-hot-scheduler run is recorded and
-replayed through
+``evaluate`` call of the seeded run under the uncached hot scheduler
+(the one that sends each enumerated candidate through ``evaluate``) is
+recorded and replayed through
 
 * the *legacy* path, reproducing the seed's dispatch exactly: build an
   ``InteractionView`` of boundary states per call (what ``evaluate`` did)
@@ -17,8 +18,7 @@ replayed through
   interned ids, exactly what the bound scheduler fast path executes.
 
 Results land in ``BENCH_dispatch.json``; CI runs this file and enforces
-the bar. A whole-run wall-clock row (compiled vs ``compiled = False``
-boundary dispatch, bit-identical trajectories) is reported for context.
+the bar.
 """
 
 import json
@@ -28,6 +28,7 @@ from pathlib import Path
 from conftest import append_raw_history, print_table
 
 from repro.core.protocol import InteractionView, Rule, RuleProtocol
+from repro.core.scheduler import HotScheduler
 from repro.core.simulator import Simulation
 from repro.core.world import World
 from repro.geometry.ports import PORT_INDEX, PORTS_2D, opposite
@@ -40,28 +41,37 @@ def aggregation_protocol() -> RuleProtocol:
     return RuleProtocol(rules, initial_state="g", name="aggregation")
 
 
+class RecordingScheduler(HotScheduler):
+    """The uncached hot scheduler, logging the boundary view of every
+    delta application it evaluates."""
+
+    def __init__(self) -> None:
+        super().__init__(incremental=False)
+        self.stream = []
+
+    def _evaluate(self, protocol, world, cand):
+        self.stream.append(
+            (
+                world.state_of(cand.nid1),
+                cand.port1,
+                world.state_of(cand.nid2),
+                cand.port2,
+                cand.bond,
+            )
+        )
+        return super()._evaluate(protocol, world, cand)
+
+
 def record_dispatch_stream(n=64, max_events=200, seed=11):
-    """The exact sequence of delta applications of one seeded run.
-
-    The protocol runs with ``compiled = False`` so every ``evaluate``
-    goes through ``handle`` — wrapped here to log the boundary view of
-    each call. Trajectories are identical either way (pinned by
-    ``tests/test_dsl.py``), so this is the stream the compiled path
-    serves in the same run.
-    """
+    """The exact sequence of delta applications of one seeded run, and
+    its event count."""
     protocol = aggregation_protocol()
-    protocol.compiled = False
-    stream = []
-    original = protocol.handle
-
-    def recording_handle(view):
-        stream.append((view.state1, view.port1, view.state2, view.port2, view.bond))
-        return original(view)
-
-    protocol.handle = recording_handle  # type: ignore[method-assign]
     world = World.of_free_nodes(n, protocol, leaders=0)
-    Simulation(world, protocol, seed=seed).run(max_events=max_events)
-    return stream
+    scheduler = RecordingScheduler()
+    result = Simulation(world, protocol, scheduler=scheduler, seed=seed).run(
+        max_events=max_events
+    )
+    return scheduler.stream, result.events
 
 
 def legacy_dispatch(rules):
@@ -93,7 +103,7 @@ def time_loop(fn, calls, repeats):
 
 
 def test_compiled_dispatch_beats_legacy(benchmark):
-    stream = record_dispatch_stream()
+    stream, events = record_dispatch_stream()
     assert len(stream) > 10_000  # a real workload, not a toy corpus
 
     protocol = aggregation_protocol()
@@ -111,7 +121,7 @@ def test_compiled_dispatch_beats_legacy(benchmark):
     for (s1, p1, s2, p2, b), packed in zip(stream[:2000], compiled_calls[:2000]):
         assert legacy(s1, p1, s2, p2, b) == program.lookup(*packed)
 
-    repeats = 20
+    repeats = 2
 
     def measure():
         return {
@@ -123,19 +133,6 @@ def test_compiled_dispatch_beats_legacy(benchmark):
     calls = len(stream) * repeats
     speedup = times["legacy"] / times["compiled"]
 
-    # Context row: whole-run wall clock, compiled vs boundary dispatch.
-    def run(compiled: bool):
-        p = aggregation_protocol()
-        p.compiled = compiled
-        world = World.of_free_nodes(64, p, leaders=0)
-        start = time.perf_counter()
-        res = Simulation(world, p, seed=11).run(max_events=200)
-        return res.events, time.perf_counter() - start
-
-    events_c, wall_c = run(True)
-    events_b, wall_b = run(False)
-    assert events_c == events_b  # same trajectory, different dispatch
-
     print_table(
         "Rule dispatch: compiled packed-int IR vs legacy tuple tables",
         f"{'path':>10} {'calls':>9} {'secs':>9} {'Mcalls/s':>9}",
@@ -144,16 +141,16 @@ def test_compiled_dispatch_beats_legacy(benchmark):
             for name, secs in times.items()
         ),
     )
-    print(
-        f"dispatch speedup: {speedup:.1f}x; full n=64 aggregation run "
-        f"{wall_b:.3f}s boundary -> {wall_c:.3f}s compiled"
-    )
+    print(f"dispatch speedup: {speedup:.1f}x")
 
     out = Path(__file__).parent / "BENCH_dispatch.json"
     out.write_text(
         json.dumps(
             {
-                "workload": "aggregation n=64, 200 events, seed 11",
+                "workload": (
+                    f"aggregation n=64, seed 11, uncached hot scheduler, "
+                    f"{events} events"
+                ),
                 "calls": calls,
                 "cases": {
                     name: {
@@ -163,7 +160,6 @@ def test_compiled_dispatch_beats_legacy(benchmark):
                     for name, secs in times.items()
                 },
                 "speedups": {"dispatch": speedup},
-                "wall_clock": {"compiled": wall_c, "boundary": wall_b},
             },
             indent=2,
         )
@@ -171,8 +167,8 @@ def test_compiled_dispatch_beats_legacy(benchmark):
     )
     append_raw_history(
         "dispatch",
-        events=events_c,
-        wall_time=wall_c,
+        events=events,
+        wall_time=times["compiled"],
         dispatch_calls=calls,
         speedup_dispatch=speedup,
     )

@@ -12,8 +12,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    # The core library is dependency-free; numpy enables the columnar
-    # candidate backend (repro.core.columnar), which falls back to the
-    # pure-Python path when absent.
-    extras_require={"fast": ["numpy"]},
+    # numpy backs the candidate store (repro.core.columnar).
+    install_requires=["numpy"],
 )

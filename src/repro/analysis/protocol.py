@@ -484,16 +484,6 @@ def analyze_protocol(
     name = getattr(protocol, "name", type(protocol).__name__)
     program = protocol.program
     extra = tuple(extra_initial)
-    if program is None:
-        return ProtocolReport(
-            name=name,
-            exact=False,
-            diagnostic=(
-                "not closed-world, cannot analyze statically: compilation "
-                "is disabled for this protocol (compiled=False)"
-            ),
-            stabilization_reason="no compiled program",
-        )
     initial: List[State] = [protocol.initial_state]
     if protocol.leader_state is not None:
         initial.append(protocol.leader_state)

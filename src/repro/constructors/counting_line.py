@@ -394,6 +394,9 @@ class CountingLineResult:
     line_length: int
     events: int
     halted: bool
+    #: Protocol-delta evaluations of the run's scheduler (``None`` for a
+    #: scheduler that does not count them).
+    evaluations: Optional[int] = None
 
     @property
     def success(self) -> bool:
@@ -469,4 +472,6 @@ def run_counting_on_a_line(
         require_stop=True,
     )
     r0, r1, r2, length = decode_counters(world)
-    return CountingLineResult(n, b, r0, r1, r2, length, result.events, True)
+    return CountingLineResult(
+        n, b, r0, r1, r2, length, result.events, True, sim.evaluations
+    )

@@ -75,6 +75,7 @@ def _run_counting_line(
             "success": result.success,
         },
         events=result.events,
+        evaluations=result.evaluations,
         stop_reason=StopReason.PREDICATE,
     )
 

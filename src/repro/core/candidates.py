@@ -22,6 +22,15 @@ canonically ordered list:
   untouched components survive verbatim; unexplained ``Component.version``
   movement still falls back to a coarse per-component sweep.
 
+The first two are the pure-Python oracles. The cache is the one store
+the schedulers run on: its entries live as ``(hi, lo)``-sorted int64
+columns, regenerated by the columnar batch kernels
+(:class:`repro.core.columnar.BatchContext`) for every compiled program —
+exact rule tables and handler-lowered ones alike. All three forms gate
+candidates through the same program questions (hot state, pair, oriented
+port hints, ``can_fire``; see :mod:`repro.core.program`) on a world bound
+to the program's state space (:func:`bound_program`).
+
 Occupancy duality
 -----------------
 
@@ -82,7 +91,6 @@ mutation.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -94,6 +102,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core import columnar as _col
 from repro.core.columnar import (
     BatchContext,
@@ -103,8 +113,8 @@ from repro.core.columnar import (
     key_nid2,
     packed_key,
     packed_sort_key,
-    resolve_columnar,
 )
+from repro.core.program import CompiledProgram
 from repro.core.protocol import Protocol, Update
 from repro.core.world import (
     Candidate,
@@ -131,10 +141,18 @@ CandidateKey = int
 #: A cached entry: the candidate and its (effective) update.
 Entry = Tuple[Candidate, Update]
 
-#: Internal sort key: the ``(hi, lo)`` packed image of
-#: :func:`candidate_sort_key` — identical order, int comparisons, and an
-#: int64-pair representation the columnar store keeps in sorted arrays.
-SortKey = Tuple[int, int]
+
+def bound_program(world: World, protocol: Protocol) -> CompiledProgram:
+    """The protocol's compiled program, with ``world`` bound to it.
+
+    Binding (:meth:`World.adopt_space`) makes node records hold the
+    program's interned ids, which every gate and dispatch reads. It is
+    idempotent and trajectory-neutral.
+    """
+    program = protocol.program
+    if world.space is not program.space:
+        world.adopt_space(program.space)
+    return program
 
 
 def candidate_key(cand: Candidate) -> CandidateKey:
@@ -193,26 +211,17 @@ def iter_intra_candidates(
 
     The (at most one per port) grid-adjacent pairs, probed on the packed
     occupancy of the component's geometry snapshot and pruned by the same
-    hot/pair/static-effectiveness hints as the inter axis. Shared by the
-    scalar enumeration and the columnar batch path (which vectorizes only
-    the population-sized inter axis — a node has at most ``|ports|`` intra
-    candidates, so the scalar probe is already minimal).
+    hot/pair/static-effectiveness gates as the inter axis. Shared by the
+    brute-force enumeration and the cache (whose batch kernels vectorize
+    only the population-sized inter axis — a node has at most ``|ports|``
+    intra candidates, so the scalar probe is already minimal).
     """
-    program = protocol.program
-    compiled = (
-        program is not None and world.space is program.space and program.exact
-    )
+    program = bound_program(world, protocol)
     nodes = world.nodes
     rec = nodes[nid]
     comp = world.components[rec.component_id]
     sid = rec.sid
-    if compiled:
-        hot_mask = program.hot_mask
-        nid_hot = bool(hot_mask >> sid & 1)
-    else:
-        decode = world.space.states
-        state = decode[sid]
-        nid_hot = protocol.is_hot(state)
+    nid_hot = program.is_hot_id(sid)
     geom = world.geometry(comp)
     ppos = geom.pos_of[nid]
     deltas = orientation_port_deltas(rec.orientation)
@@ -221,22 +230,15 @@ def iter_intra_candidates(
         if other is None:
             continue
         other_sid = nodes[other].sid
-        if compiled:
-            if not (nid_hot or hot_mask >> other_sid & 1):
-                continue
-            if not program.pair_can_fire(sid, other_sid):
-                continue
-        else:
-            other_state = decode[other_sid]
-            if not (nid_hot or protocol.is_hot(other_state)):
-                continue
-            if not protocol.pair_compatible(state, other_state):
-                continue
+        if not (nid_hot or program.is_hot_id(other_sid)):
+            continue
+        if not program.pair_can_fire(sid, other_sid):
+            continue
         a, b = (nid, other) if nid < other else (other, nid)
         cand = world.intra_candidate(a, b)
         if cand is None:
             continue
-        if compiled and not (
+        if not (
             program.can_fire(nodes[a].sid, PORT_INDEX[cand.port1], cand.bond)
             and program.can_fire(nodes[b].sid, PORT_INDEX[cand.port2], cand.bond)
         ):
@@ -249,48 +251,29 @@ def iter_node_candidates(
 ) -> Iterator[Candidate]:
     """Every *possibly effective* canonical candidate involving ``nid``.
 
-    Prunes with the protocol's hot/pair/port hints (all over-approximate,
-    so no effective candidate is missed); the caller evaluates the
-    survivors. When the world is bound to an *exact* compiled program
-    (``repro.core.program``), the hints are resolved on interned state ids
-    — the per-state hot bitmask, the pair index, and the oriented port
-    hints — and the per-``(state, port, bond)`` static-effectiveness index
-    additionally discards candidates **no** rule can ever fire on before
-    any geometry probe or dispatch happens. Candidates whose two endpoints
-    are both enumerated (e.g. both dirty, or both hot) are yielded once
-    per endpoint — deduplicate by :func:`candidate_key`.
+    Prunes with the program's gates on interned state ids — hot state,
+    state pair, the oriented bond-0 port hints and, for intra candidates,
+    the per-``(state, port, bond)`` ``can_fire`` index — before any
+    geometry probe or dispatch happens. They are complete for an exact
+    program and over-approximate (the protocol's own hints) for a
+    handler-lowered one, so no effective candidate is missed; the caller
+    evaluates the survivors. Candidates whose two endpoints are both
+    enumerated (e.g. both dirty, or both hot) are yielded once per
+    endpoint — deduplicate by :func:`candidate_key`.
     """
-    program = protocol.program
-    compiled = (
-        program is not None and world.space is program.space and program.exact
-    )
+    program = bound_program(world, protocol)
     nodes = world.nodes
     rec = nodes[nid]
     sid = rec.sid
-    decode = world.space.states
-    if compiled:
-        hot_mask = program.hot_mask
-        nid_hot = bool(hot_mask >> sid & 1)
-    else:
-        state = decode[sid]
-        nid_hot = protocol.is_hot(state)
+    nid_hot = program.is_hot_id(sid)
     yield from iter_intra_candidates(world, protocol, nid)
     # Inter-component: nid against every node of another component whose
-    # state passes the hints, oriented by component id.
+    # state passes the gates, oriented by component id.
     for partner_sid, members in world.by_sid.items():
-        if compiled:
-            if not (nid_hot or hot_mask >> partner_sid & 1):
-                continue
-            if not program.pair_can_fire(sid, partner_sid):
-                continue
-            hints = None
-        else:
-            partner_state = decode[partner_sid]
-            if not (nid_hot or protocol.is_hot(partner_state)):
-                continue
-            if not protocol.pair_compatible(state, partner_state):
-                continue
-            hints = protocol.port_hints(state, partner_state)
+        if not (nid_hot or program.is_hot_id(partner_sid)):
+            continue
+        if not program.pair_can_fire(sid, partner_sid):
+            continue
         for other in members:
             if other == nid:
                 continue
@@ -299,26 +282,11 @@ def iter_node_candidates(
                 continue
             first_is_nid = rec.component_id < other_rec.component_id
             first, second = (nid, other) if first_is_nid else (other, nid)
-            if compiled:
-                # Oriented bond-0 hints double as the static-effectiveness
-                # filter: a port pair absent here cannot hit the table.
-                s1, s2 = (sid, partner_sid) if first_is_nid else (partner_sid, sid)
-                for p1i, p2i in program.oriented_hints(s1, s2):
-                    yield from world.inter_candidates(
-                        first, PORTS_3D[p1i], second, PORTS_3D[p2i]
-                    )
-                continue
-            if hints is None:
-                combos: Iterator[Tuple] = (
-                    (p1, p2) for p1 in world.ports for p2 in world.ports
+            s1, s2 = (sid, partner_sid) if first_is_nid else (partner_sid, sid)
+            for p1i, p2i in program.oriented_hints(s1, s2):
+                yield from world.inter_candidates(
+                    first, PORTS_3D[p1i], second, PORTS_3D[p2i]
                 )
-            elif first_is_nid:
-                combos = iter(hints)
-            else:
-                # Hints are oriented (port of nid, port of partner).
-                combos = ((p2, p1) for p1, p2 in hints)
-            for p1, p2 in combos:
-                yield from world.inter_candidates(first, p1, second, p2)
 
 
 def hot_effective_candidates(
@@ -335,9 +303,9 @@ def hot_effective_candidates(
     """
     entries: Dict[CandidateKey, Entry] = {}
     seen: Set[CandidateKey] = set()
-    is_hot = _hot_sid_check(world, protocol)
+    program = bound_program(world, protocol)
     for sid in world.by_sid:
-        if not is_hot(sid):
+        if not program.is_hot_id(sid):
             continue
         for nid in world.by_sid[sid]:
             for cand in iter_node_candidates(world, protocol, nid):
@@ -353,18 +321,6 @@ def hot_effective_candidates(
     return out
 
 
-def _hot_sid_check(world: World, protocol: Protocol) -> Callable[[int], bool]:
-    """Hot-state predicate over interned ids: the compiled hot bitmask
-    when the world is bound to an exact program, else the protocol's
-    public hint decoded at the edge."""
-    program = protocol.program
-    if program is not None and world.space is program.space and program.exact:
-        mask = program.hot_mask
-        return lambda sid: bool(mask >> sid & 1)
-    decode = world.space.states
-    return lambda sid: protocol.is_hot(decode[sid])
-
-
 def reference_effective_candidates(
     world: World,
     protocol: Protocol,
@@ -378,15 +334,12 @@ def reference_effective_candidates(
     """
     effective: List[Entry] = []
     permissible = 0
-    program = protocol.program
-    compiled = (
-        program is not None and world.space is program.space and program.exact
-    )
+    program = bound_program(world, protocol)
     nodes = world.nodes
     for raw in world.enumerate_candidates():
         permissible += 1
         cand = canonicalize(world, raw)
-        if compiled and not (
+        if not (
             program.can_fire(
                 nodes[cand.nid1].sid, PORT_INDEX[cand.port1], cand.bond
             )
@@ -435,8 +388,15 @@ class EffectiveCandidateCache:
       a journalled delta — the coarse sweep, kept as the backstop.
 
     If a journal was truncated under the cache (an unboundedly long gap
-    between refreshes) or the binding changed, the cache falls back to a
-    full rebuild / coarse sweep — never to a stale answer.
+    between refreshes) or the binding changed (another world, protocol or
+    state space), the cache falls back to a full rebuild / coarse sweep —
+    never to a stale answer.
+
+    The store: entries live *only* as aligned int64 columns in canonical
+    ``(hi, lo)`` order — identity key, sort-key halves, update — plus a
+    lazy entry column materialized per selected candidate. Invalidation,
+    pruning, and the canonical merge all run as array ops, and a refresh
+    hands out a :class:`_DenseView` over the columns.
 
     ``split_delta=False`` disables the fine path for split and move
     records (they fall through to the coarse version sweep, the pre-delta
@@ -444,39 +404,22 @@ class EffectiveCandidateCache:
     (``benchmarks/bench_splits.py``) and as a cross-check oracle.
     """
 
-    def __init__(
-        self, split_delta: bool = True, columnar: Optional[bool] = None
-    ) -> None:
+    def __init__(self, split_delta: bool = True) -> None:
         self._world: Optional[World] = None
         self._protocol: Optional[Protocol] = None
         self._cursor = 0
         self._delta_cursor = 0
         self.split_delta = split_delta
-        #: Columnar backend resolved against the process default
-        #: (``REPRO_COLUMNAR`` / :func:`repro.core.columnar.resolve_columnar`).
-        self.columnar = resolve_columnar(columnar)
         self._batch: Optional[BatchContext] = None
         self._comp_versions: Dict[int, int] = {}
         self._comp_members: Dict[int, Tuple[int, ...]] = {}
-        #: key -> (sort key, entry): the sort key is computed once per
-        #: insertion instead of once per entry per refresh-sort.
-        self._entries: Dict[CandidateKey, Tuple[SortKey, Entry]] = {}
-        self._by_node: Dict[int, Set[CandidateKey]] = {}
-        self._sorted: Optional[List[Entry]] = None
-        # The dense columnar store, active whenever a BatchContext is (an
-        # exact compiled program + numpy). Entries live *only* as aligned
-        # int64 columns in canonical ``(hi, lo)`` order — identity key,
-        # sort-key halves, update — plus a lazy entry column materialized
-        # per selected candidate. ``_entries``/``_by_node`` stay empty in
-        # this mode; invalidation, pruning, and the canonical merge all
-        # run as array ops.
-        self._dense = False
+        self._sorted: Optional[_DenseView] = None
         self._d_id = None
         self._d_hi = None
         self._d_lo = None
         self._d_upd = None
         self._d_ent = None
-        #: Generated-row chunks awaiting the canonical merge (dense mode).
+        #: Generated-row chunks awaiting the canonical merge.
         self._d_new: List[tuple] = []
         #: Rows marked dropped but not yet compressed out (one compress
         #: per refresh instead of one per delta record).
@@ -510,7 +453,11 @@ class EffectiveCandidateCache:
         evaluate: Callable[[Protocol, World, Candidate], Optional[Update]],
     ) -> List[Entry]:
         """The canonical sorted effective list for the current configuration."""
-        if world is not self._world or protocol is not self._protocol:
+        if (
+            world is not self._world
+            or protocol is not self._protocol
+            or world.space is not protocol.program.space
+        ):
             self._rebuild(world, protocol, evaluate)
             assert self._sorted is not None
             return self._sorted
@@ -522,16 +469,7 @@ class EffectiveCandidateCache:
         self._cursor = world.change_cursor()
         deltas = world.deltas_since(self._delta_cursor)
         self._delta_cursor = world.delta_cursor()
-        self._batch = (
-            self._make_batch(world, protocol) if self.columnar else None
-        )
-        if (self._batch is not None) != self._dense:
-            # The generation regime changed under the binding (space swap,
-            # program rebind, backend toggle): rebuild into the other
-            # representation — never patch one store with the other's rows.
-            self._rebuild(world, protocol, evaluate)
-            assert self._sorted is not None
-            return self._sorted
+        self._batch = self._make_batch(world, protocol)
         if deltas:
             # Records replay in mutation order, so each component's version
             # trail can be followed bump by bump across a whole gap of
@@ -554,22 +492,11 @@ class EffectiveCandidateCache:
         # trail broke mid-gap, a truncated delta journal) is swept coarsely.
         self._sweep_component_versions(world, dirty)
         if dirty:
-            if self._dense:
-                self._dense_invalidate(dirty)
-                self._dense_generate(
-                    world, protocol, evaluate, sorted(dirty)
-                )
-            else:
-                self._invalidate(dirty)
-                seen: Set[CandidateKey] = set()
-                for nid in sorted(dirty):
-                    if nid in world.nodes:
-                        self._generate_for_node(
-                            world, protocol, evaluate, nid, seen
-                        )
+            self._invalidate(dirty)
+            self._generate(world, protocol, evaluate, sorted(dirty))
             self._sorted = None
         if self._sorted is None:
-            self._finalize_sorted()
+            self._sorted = self._finalize_sorted()
         return self._sorted
 
     # ------------------------------------------------------------------
@@ -580,12 +507,11 @@ class EffectiveCandidateCache:
         protocol: Protocol,
         evaluate: Callable[[Protocol, World, Candidate], Optional[Update]],
     ) -> None:
+        program = bound_program(world, protocol)
         self._world = world
         self._protocol = protocol
         self._cursor = world.change_cursor()
         self._delta_cursor = world.delta_cursor()
-        self._entries.clear()
-        self._by_node.clear()
         self._comp_versions = {
             cid: comp.version for cid, comp in world.components.items()
         }
@@ -601,78 +527,28 @@ class EffectiveCandidateCache:
         self._d_cols = None
         self._pending_rows = []
         self._pending_keys = set()
-        self._batch = (
-            self._make_batch(world, protocol) if self.columnar else None
-        )
-        self._dense = self._batch is not None
-        is_hot = _hot_sid_check(world, protocol)
-        if self._dense:
-            hot = [
-                nid
-                for sid in world.by_sid
-                if is_hot(sid)
-                for nid in world.by_sid[sid]
-            ]
-            self._dense_generate(world, protocol, evaluate, hot)
-        else:
-            seen: Set[CandidateKey] = set()
-            for sid in world.by_sid:
-                if not is_hot(sid):
-                    continue
-                for nid in world.by_sid[sid]:
-                    self._generate_for_node(
-                        world, protocol, evaluate, nid, seen
-                    )
-        self._finalize_sorted()
+        self._batch = self._make_batch(world, protocol)
+        hot = [
+            nid
+            for sid in world.by_sid
+            if program.is_hot_id(sid)
+            for nid in world.by_sid[sid]
+        ]
+        self._generate(world, protocol, evaluate, hot)
+        self._sorted = self._finalize_sorted()
 
-    def _make_batch(
-        self, world: World, protocol: Protocol
-    ) -> Optional[BatchContext]:
-        """A batch-generation context, when the regime allows one.
-
-        Requires numpy and an exact compiled program bound to this world's
-        space: exactness is what makes the oriented bond-0 hints a complete
-        static-effectiveness filter, so batch dispatch (one table hit per
-        group) evaluates exactly the candidate set the scalar path does.
-        """
-        if _col.np is None:
-            return None
-        program = protocol.program
-        if (
-            program is None
-            or world.space is not program.space
-            or not program.exact
-        ):
-            return None
-        if len(world.components) > _col.MAX_TAG_COMPONENTS:
-            return None  # pragma: no cover - beyond occupancy-tag range
+    def _make_batch(self, world: World, protocol: Protocol) -> BatchContext:
+        """This refresh's batch-generation context over the synced columns
+        (raises ``OverflowError`` beyond ``MAX_TAG_COMPONENTS``)."""
         idx = get_index(world)
         idx.sync()
-        return BatchContext(world, protocol, program, idx)
+        return BatchContext(world, protocol, protocol.program, idx)
 
-    def _finalize_sorted(self) -> None:
-        """Materialize the canonical sorted list.
+    # -- the sorted store ----------------------------------------------
 
-        Dense mode: merge the generated-row chunks and re-seeded rows
-        into the sorted int64 store (C-level compress + merge) and hand
-        out a lazy sequence view. Fallback: the historical full sort of
-        the dict entry values.
-        """
-        if self._dense:
-            self._sorted = self._d_finalize()
-        else:
-            self._sorted = [
-                entry
-                for _key, entry in sorted(
-                    self._entries.values(), key=itemgetter(0)
-                )
-            ]
-
-    # -- the dense sorted store (columnar mode) ------------------------
-
-    def _d_finalize(self) -> "_DenseView":
-        """Merge pending rows into the canonical (hi, lo)-sorted store."""
-        np = _col.np
+    def _finalize_sorted(self) -> "_DenseView":
+        """Merge pending rows into the canonical (hi, lo)-sorted store
+        (C-level compress + merge) and hand out a lazy sequence view."""
         if self._d_drop is not None:
             # Prunes ran but no node went dirty: apply the deferred drops
             # before any positional merge below.
@@ -779,7 +655,6 @@ class EffectiveCandidateCache:
         d_hi = self._d_hi
         if d_hi is None or len(d_hi) == 0:
             return False
-        np = _col.np
         p = int(np.searchsorted(d_hi, hi, side="left"))
         d_lo = self._d_lo
         while p < len(d_hi) and d_hi[p] == hi:
@@ -788,9 +663,8 @@ class EffectiveCandidateCache:
             p += 1
         return False
 
-    def _dense_invalidate(self, dirty: Set[int]) -> None:
+    def _invalidate(self, dirty: Set[int]) -> None:
         """Drop every stored or pending row with a dirty endpoint."""
-        np = _col.np
         ids = self._d_id
         if ids is not None and len(ids):
             dirty_arr = np.fromiter(dirty, np.int64, count=len(dirty))
@@ -813,7 +687,7 @@ class EffectiveCandidateCache:
                     kept.append(row)
             self._pending_rows = kept
 
-    def _dense_generate(
+    def _generate(
         self,
         world: World,
         protocol: Protocol,
@@ -823,42 +697,43 @@ class EffectiveCandidateCache:
         """Regenerate entries for a batch of dirty nodes as array chunks.
 
         The population-sized inter axis runs on the batch kernels
-        (:meth:`BatchContext.inter_rows`); deduplication by identity key
-        reproduces the scalar evaluation count (each generated inter row
-        is one candidate the scalar path would have evaluated — the
-        oriented hints of an exact program are a complete
-        static-effectiveness filter, so none evaluates to ``None``).
-        Intra candidates (at most ``|ports|`` per node) stay scalar.
+        (:meth:`BatchContext.inter_rows`): every gated permissible row is
+        one evaluated candidate, deduplicated by identity key, and rows
+        whose group dispatched to ``None`` (possible only for a
+        handler-lowered program, whose hints over-approximate) are then
+        dropped. Intra candidates (at most ``|ports|`` per node) stay
+        scalar.
         """
-        np = _col.np
         live = [nid for nid in nids if nid in world.nodes]
         if not live:
             return
         self.refreshed_nodes += len(live)
         sink: List[tuple] = []
         self._batch.inter_rows(live, sink)
-        total = sum(len(c[0]) for c in sink)
-        if total:
+        if sink:
             keys = np.concatenate([c[0] for c in sink])
             his = np.concatenate([c[1] for c in sink])
             los = np.concatenate([c[2] for c in sink])
-            upds = np.empty(total, dtype=object)
+            upds = np.empty(len(keys), dtype=object)
+            effective = np.empty(len(keys), dtype=bool)
             o = 0
             for c in sink:
                 n = len(c[0])
-                if n:
-                    upds[o:o + n].fill(c[3])
+                upds[o:o + n].fill(c[3])
+                effective[o:o + n] = c[3] is not None
                 o += n
-            uk, ui = np.unique(keys, return_index=True)
-            evals = len(uk)
+            ui = np.unique(keys, return_index=True)[1]
+            evals = len(ui)
             self.evaluations += evals
             sched = getattr(evaluate, "__self__", None)
             if sched is not None:
                 sched.evaluations += evals
-            self._d_new.append(
-                (uk, his[ui], los[ui], upds[ui], np.empty(evals, object))
-            )
-            self._sorted = None
+            ui = ui[effective[ui]]
+            if len(ui):
+                self._d_new.append(
+                    (keys[ui], his[ui], los[ui], upds[ui], np.empty(len(ui), object))
+                )
+                self._sorted = None
         seen: Set[CandidateKey] = set()
         irows: List[tuple] = []
         for nid in live:
@@ -905,29 +780,6 @@ class EffectiveCandidateCache:
             if cid not in seen:  # vanished (merged away)
                 dirty.update(self._comp_members.pop(cid, ()))
                 del self._comp_versions[cid]
-
-    def _invalidate(self, dirty: Set[int]) -> None:
-        for nid in dirty:
-            keys = self._by_node.pop(nid, None)
-            if not keys:
-                continue
-            for key in keys:
-                if self._entries.pop(key, None) is None:
-                    continue
-                nid1 = key_nid1(key)
-                other = key_nid2(key) if nid1 == nid else nid1
-                peer = self._by_node.get(other)
-                if peer is not None:
-                    peer.discard(key)
-
-    def _drop_entry(self, key: CandidateKey) -> None:
-        """Remove one entry and unindex it from both endpoints."""
-        if self._entries.pop(key, None) is None:
-            return
-        for nid in (key_nid1(key), key_nid2(key)):
-            peers = self._by_node.get(nid)
-            if peers is not None:
-                peers.discard(key)
 
     def _apply_merge_delta(
         self, world: World, record: MergeRecord, dirty: Set[int]
@@ -979,103 +831,27 @@ class EffectiveCandidateCache:
 
         The growth half of the occupancy duality: new occupancy can only
         *remove* permissible placements, so dropping exactly the colliding
-        entries keeps the cache equal to the reference.
+        entries keeps the cache equal to the reference. The stored rows
+        are pruned in one vectorized sweep, the not-yet-merged re-seeded
+        rows one by one (:meth:`_prune_pending`), with the same decisions.
         """
-        if self._dense:
-            self._prune_survivors_dense(world, survivors, new_cells, dirty)
-            self._prune_pending(world, survivors, new_cells, dirty)
-            return
-        nodes = world.nodes
-        components = world.components
-        np = _col.np
-        new_arr = None
-        if np is not None and len(new_cells) >= 8:
-            new_arr = np.fromiter(
-                new_cells, dtype=np.int64, count=len(new_cells)
-            )
-        for nid in survivors:
-            if nid in dirty:
-                continue  # already slated for full regeneration
-            keys = self._by_node.get(nid)
-            if not keys:
-                continue
-            for key in [k for k in keys if key_is_inter(k)]:
-                item = self._entries.get(key)
-                if item is None:
-                    continue
-                cand = item[1][0]
-                other = cand.nid2 if cand.nid1 == nid else cand.nid1
-                if other in dirty:
-                    continue  # invalidated/regenerated via the dirty set
-                other_cid = nodes[other].component_id
-                other_comp = components.get(other_cid)
-                if (
-                    other_comp is None
-                    or self._comp_versions.get(other_cid) != other_comp.version
-                ):
-                    # The partner component changed in the same gap (e.g.
-                    # both endpoints' components merged): neither record
-                    # alone can delta-probe this entry, since each side's
-                    # new cells must be checked against the *other side's
-                    # full placement*. Re-examine the survivor wholesale.
-                    dirty.add(nid)
-                    break
-                g_other = world.geometry(other_comp)
-                trans = pack_delta(cand.translation)
-                if cand.nid1 == nid:
-                    # This side has the smaller cid: the partner is placed
-                    # into this frame — collide its placed cells with the
-                    # newly occupied ones.
-                    if new_arr is not None and len(g_other.occ) >= 8:
-                        collides = bool(
-                            np.isin(
-                                g_other.rotated_array(cand.rotation) + trans,
-                                new_arr,
-                            ).any()
-                        )
-                    else:
-                        collides = any(
-                            (cell + trans) in new_cells
-                            for cell in g_other.rotated(cand.rotation)
-                        )
-                else:
-                    # Partner frame hosts the placement: map the new cells
-                    # into it and probe the partner's occupancy.
-                    if new_arr is not None and len(g_other.occ) >= 8:
-                        collides = bool(
-                            np.isin(
-                                _col.rotate_cells(cand.rotation, new_arr)
-                                + trans,
-                                g_other.occ_array(),
-                            ).any()
-                        )
-                    else:
-                        rotate = packed_rotation(cand.rotation)
-                        occ = g_other.occ
-                        collides = any(
-                            (rotate(cell) + trans) in occ
-                            for cell in new_cells
-                        )
-                if collides:
-                    self._drop_entry(key)
-                    self._sorted = None
+        self._prune_stored(world, survivors, new_cells, dirty)
+        self._prune_pending(world, survivors, new_cells, dirty)
 
-    def _prune_survivors_dense(
+    def _prune_stored(
         self,
         world: World,
         survivors: Tuple[int, ...],
         new_cells: FrozenSet[int],
         dirty: Set[int],
     ) -> None:
-        """The merge prune over the dense store: one vectorized sweep.
+        """The merge prune over the sorted store: one vectorized sweep.
 
         Selects the surviving inter rows with array masks, resolves the
         partner-side component trail per *component* instead of per
-        entry, probes singleton partners in one membership gather per
-        rotation code, and leaves only multi-cell partners (few per
-        merge) to per-row probes — same decisions as the scalar walk.
+        entry, and probes every row's placement with one membership
+        gather per rotation code against the global occupancy tags.
         """
-        np = _col.np
         ids = self._d_id
         if ids is None or not len(ids) or not survivors or not new_cells:
             return
@@ -1111,8 +887,11 @@ class EffectiveCandidateCache:
                 comp is None
                 or self._comp_versions.get(cid) != comp.version
             ):
-                # Partner component changed in the same gap: re-examine
-                # the survivor side wholesale (see the scalar walk).
+                # The partner component changed in the same gap (e.g. both
+                # endpoints' components merged): neither record alone can
+                # delta-probe these rows, since each side's new cells must
+                # be checked against the *other side's full placement*.
+                # Re-examine the survivor side wholesale.
                 sel = pcid == cid
                 clean[sel] = False
                 dirty.update(mine[sel].tolist())
@@ -1172,7 +951,7 @@ class EffectiveCandidateCache:
         dirty: Set[int],
     ) -> None:
         """The merge prune over not-yet-merged re-seeded rows (scalar —
-        reseeds are rare), mirroring the decisions of the stored walk."""
+        reseeds are rare), mirroring the decisions of the stored sweep."""
         if not self._pending_rows or not survivors or not new_cells:
             return
         sset = set(survivors)
@@ -1538,85 +1317,33 @@ class EffectiveCandidateCache:
         # rule can ever fire on before spending an evaluation (statically
         # dead candidates evaluate to None anyway, so this only trims the
         # evaluation count, never the cached set).
-        protocol_program = protocol.program
+        program = protocol.program
         sid1, sid2 = rec1.sid, nodes[nid2].sid
-        if (
-            protocol_program is not None
-            and world.space is protocol_program.space
-            and protocol_program.exact
+        if not (program.is_hot_id(sid1) or program.is_hot_id(sid2)):
+            return
+        if not program.pair_can_fire(sid1, sid2):
+            return
+        if not (
+            program.can_fire(sid1, PORT_INDEX[p1], 0)
+            and program.can_fire(sid2, PORT_INDEX[p2], 0)
         ):
-            hot_mask = protocol_program.hot_mask
-            if not (hot_mask >> sid1 & 1 or hot_mask >> sid2 & 1):
-                return
-            if not protocol_program.pair_can_fire(sid1, sid2):
-                return
-            if not (
-                protocol_program.can_fire(sid1, PORT_INDEX[p1], 0)
-                and protocol_program.can_fire(sid2, PORT_INDEX[p2], 0)
-            ):
-                return
-        else:
-            decode = world.space.states
-            s1, s2 = decode[sid1], decode[sid2]
-            if not (protocol.is_hot(s1) or protocol.is_hot(s2)):
-                return
-            if not protocol.pair_compatible(s1, s2):
-                return
+            return
         cand = Candidate(nid1, p1, nid2, p2, 0, rot, unpack_delta(trans))
         key = candidate_key(cand)
-        if self._dense:
-            hi, lo = packed_sort_key(cand)
-            if key in self._pending_keys or self._d_contains(hi, lo):
-                return  # already cached (a surviving or re-seeded row)
-            self.evaluations += 1
-            update = evaluate(protocol, world, cand)
-            if update is None:
-                return
-            self._pending_rows.append((key, hi, lo, cand, update))
-            self._pending_keys.add(key)
-            self._sorted = None
-            return
-        if key in self._entries:
-            return  # already cached (a surviving or just-reseeded entry)
+        hi, lo = packed_sort_key(cand)
+        if key in self._pending_keys or self._d_contains(hi, lo):
+            return  # already cached (a surviving or re-seeded row)
         self.evaluations += 1
         update = evaluate(protocol, world, cand)
         if update is None:
             return
-        self._entries[key] = (packed_sort_key(cand), (cand, update))
-        self._by_node.setdefault(cand.nid1, set()).add(key)
-        self._by_node.setdefault(cand.nid2, set()).add(key)
+        self._pending_rows.append((key, hi, lo, cand, update))
+        self._pending_keys.add(key)
         self._sorted = None
-
-    def _generate_for_node(
-        self,
-        world: World,
-        protocol: Protocol,
-        evaluate: Callable[[Protocol, World, Candidate], Optional[Update]],
-        nid: int,
-        seen: Set[CandidateKey],
-    ) -> None:
-        """Regenerate entries for one node; ``seen`` spans one refresh so
-        a candidate whose endpoints are both being regenerated (or an
-        ineffective one) is evaluated once, not once per endpoint."""
-        self.refreshed_nodes += 1
-        entries = self._entries
-        by_node = self._by_node
-        for cand in iter_node_candidates(world, protocol, nid):
-            key = candidate_key(cand)
-            if key in seen:
-                continue  # regenerated from the partner this refresh
-            seen.add(key)
-            self.evaluations += 1
-            update = evaluate(protocol, world, cand)
-            if update is None:
-                continue
-            entries[key] = (packed_sort_key(cand), (cand, update))
-            by_node.setdefault(cand.nid1, set()).add(key)
-            by_node.setdefault(cand.nid2, set()).add(key)
 
 
 class _DenseView:
-    """Sequence view over the dense store's sorted columns.
+    """Sequence view over the cache's sorted columns.
 
     The canonical effective list without per-refresh Python
     materialization: a :class:`~repro.core.world.Candidate` is rebuilt

@@ -12,26 +12,22 @@ the columns, and nothing else can move them.
 
 On top of the columns, :class:`BatchContext` rewrites the candidate
 layer's three hot kernels as batch operations over whole dirty
-neighborhoods:
+neighborhoods, for every compiled program (exact rule tables and
+handler-lowered :class:`~repro.core.program.MemoProgram` alike):
 
-1. *static-effectiveness filtering* — the PR 4 ``can_fire`` / hot / pair
-   indexes applied once per partner *state* with the survivors gathered
-   as boolean masks over the member arrays, instead of one bit probe per
-   node;
+1. *gate filtering* — the program's hot / pair / oriented-port gates
+   applied once per partner *state* with the survivors gathered as
+   boolean masks over the member arrays, instead of one probe per node;
 2. *occupancy-collision pruning* — singleton-partner placements are
    resolved by vectorized membership tests against the packed occupancy
    arrays (and, for the hosting orientation, by one per-rotation probe
    that covers every partner of a group at once, since the component's
    placement relative to a single-cell host is fixed within the group);
-3. *transition dispatch* — one packed-key table hit per ``(state pair,
-   port pair)`` group serves the whole group; per-candidate dispatch
-   collapses into array arithmetic feeding the scheduler's canonical
-   sort.
+3. *transition dispatch* — one ``lookup`` per ``(state pair, port pair)``
+   group serves the whole group; per-candidate dispatch collapses into
+   array arithmetic feeding the scheduler's canonical sort.
 
-The backend needs ``numpy``; without it (or with ``REPRO_COLUMNAR=0`` /
-``columnar=False``) every consumer falls back to the pure-Python scalar
-path, bit-identical in trajectory, with plain ``array``-module columns
-still available for coherence testing.
+numpy is a required dependency: this is the only candidate backend.
 
 Packed candidate keys
 ---------------------
@@ -54,19 +50,13 @@ matrices by their tuple form, exactly as the tuple keys compared.
 
 from __future__ import annotations
 
-import os
-from array import array
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-try:  # pragma: no cover - exercised through both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover - the REPRO_COLUMNAR=0 leg
-    _np = None
+import numpy as np
 
 from repro.geometry.packed import (
     PACKED_ORIGIN,
     orientation_port_deltas,
-    packed_rotation,
     packed_rotations_mapping,
     unpack_delta,
 )
@@ -74,50 +64,10 @@ from repro.geometry.ports import PORTS_3D
 from repro.geometry.rotation import ROTATIONS_2D, ROTATIONS_3D
 from repro.core.world import Candidate
 
-np = _np  # re-exported: ``None`` means the fallback backend
 
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-
-_FALSEY = {"0", "false", "no", "off"}
-_default: Optional[bool] = None
-
-
-def _env_default() -> bool:
-    return os.environ.get("REPRO_COLUMNAR", "1").strip().lower() not in _FALSEY
-
-
-def columnar_default() -> bool:
-    """Whether the columnar backend is on by default for this process.
-
-    ``True`` requires numpy; the ``REPRO_COLUMNAR=0`` environment flag (or
-    :func:`set_columnar_default`) forces the pure-Python fallback.
-    """
-    enabled = _default if _default is not None else _env_default()
-    return bool(enabled and np is not None)
-
-
-def set_columnar_default(enabled: Optional[bool]) -> None:
-    """Override the process default (``None`` restores the env rule)."""
-    global _default
-    _default = enabled
-
-
-def resolve_columnar(columnar: Optional[bool]) -> bool:
-    """Resolve a per-call ``columnar`` option against the process default."""
-    if columnar is None:
-        return columnar_default()
-    return bool(columnar and np is not None)
-
-
-def backend_name(columnar: Optional[bool] = None) -> str:
-    """Human-readable backend a run with this option would use."""
-    if resolve_columnar(columnar):
-        return "columnar (numpy)"
-    if np is None and (columnar or columnar is None and _env_default()):
-        return "fallback (pure Python; numpy not installed)"
-    return "fallback (pure Python)"
+def backend_name() -> str:
+    """Human-readable name of the candidate backend every scheduler uses."""
+    return "columnar (numpy)"
 
 
 # ----------------------------------------------------------------------
@@ -149,13 +99,8 @@ assert all(r.matrix in ROT_CODE for r in ROTATIONS_2D)
 ORIENT_ID: Dict[tuple, int] = {
     rot.matrix: i for i, rot in enumerate(_ROTS_CANONICAL)
 }
-ORIENT_DELTAS = (
-    np.array(
-        [orientation_port_deltas(rot) for rot in _ROTS_CANONICAL],
-        dtype=np.int64,
-    )
-    if np is not None
-    else None
+ORIENT_DELTAS = np.array(
+    [orientation_port_deltas(rot) for rot in _ROTS_CANONICAL], dtype=np.int64
 )
 
 # ----------------------------------------------------------------------
@@ -298,10 +243,6 @@ class ColumnarIndex:
       members wholesale (cells, orientations, membership, size);
     * an adopted state space or a truncated journal triggers a full
       rebuild — never a stale column.
-
-    With numpy absent the columns are stdlib ``array('q')`` buffers —
-    same contents, no vectorized consumers — so the coherence tests cover
-    the sync rule on both backends.
     """
 
     def __init__(self, world) -> None:
@@ -310,40 +251,29 @@ class ColumnarIndex:
         self._cursor = 0
         self._versions: Dict[int, int] = {}
         self._n = 0
-        self.sid = self._new_column()
-        self.cid = self._new_column()
-        self.csize = self._new_column()
-        self.cell = self._new_column()
-        self.orient = self._new_column()
-        #: sid -> sorted member-id array (numpy only; lazy, dropped when
-        #: a member enters or leaves the state).
+        self.sid = np.empty(0, dtype=np.int64)
+        self.cid = np.empty(0, dtype=np.int64)
+        self.csize = np.empty(0, dtype=np.int64)
+        self.cell = np.empty(0, dtype=np.int64)
+        self.orient = np.empty(0, dtype=np.int64)
+        #: sid -> sorted member-id array (lazy, dropped when a member
+        #: enters or leaves the state).
         self._members: Dict[int, object] = {}
         self.syncs = 0
         self.rebuilds = 0
 
-    @staticmethod
-    def _new_column():
-        if np is not None:
-            return np.empty(0, dtype=np.int64)
-        return array("q")
-
     def _grow(self, n: int) -> None:
         if n <= self._n:
             return
-        if np is not None:
-            cap = max(16, len(self.sid))
-            while cap < n:
-                cap *= 2
-            if cap > len(self.sid):
-                for name in ("sid", "cid", "csize", "cell", "orient"):
-                    old = getattr(self, name)
-                    new = np.full(cap, -1, dtype=np.int64)
-                    new[: len(old)] = old
-                    setattr(self, name, new)
-        else:
-            pad = array("q", [-1]) * (n - len(self.sid))
+        cap = max(16, len(self.sid))
+        while cap < n:
+            cap *= 2
+        if cap > len(self.sid):
             for name in ("sid", "cid", "csize", "cell", "orient"):
-                getattr(self, name).extend(pad)
+                old = getattr(self, name)
+                new = np.full(cap, -1, dtype=np.int64)
+                new[: len(old)] = old
+                setattr(self, name, new)
         self._n = n
 
     # ------------------------------------------------------------------
@@ -445,9 +375,8 @@ class ColumnarIndex:
                 nid,
                 "orient",
             )
-        if np is not None:
-            for sid, arr in self._members.items():
-                assert list(arr) == sorted(world.by_sid.get(sid, ())), sid
+        for sid, arr in self._members.items():
+            assert list(arr) == sorted(world.by_sid.get(sid, ())), sid
 
 
 def get_index(world) -> ColumnarIndex:
@@ -506,11 +435,15 @@ MAX_TAG_COMPONENTS = 1 << 14
 class BatchContext:
     """One refresh's batch-generation state for a (world, protocol) pair.
 
-    Built by the candidate cache only when the columnar backend is active
-    *and* the world is bound to an exact compiled program — the regime in
-    which the oriented bond-0 hints are a complete static-effectiveness
-    filter, so every generated inter candidate is effective and one table
-    hit per ``(state pair, port pair)`` group dispatches the whole group.
+    Built by the candidate cache on every refresh, for a world bound to
+    its protocol's compiled program. The program's gates (hot state, pair,
+    oriented bond-0 port hints) decide which inter rows are generated, and
+    one ``lookup`` per ``(state pair, port pair)`` group dispatches the
+    whole group. For an exact program the hints are a complete
+    static-effectiveness filter, so every row is effective; a
+    handler-lowered program's hints only over-approximate, so a group's
+    update may be ``None`` — the cache counts those rows as evaluations
+    and then drops them.
 
     The context carries a *global tagged occupancy*: each component gets a
     dense index (rank of its cid), and every node contributes the tag
@@ -521,12 +454,14 @@ class BatchContext:
     once, instead of one numpy call per (node, partner component) pair.
 
     :meth:`inter_rows` emits, for a batch of dirty nodes, exactly the
-    inter entries the scalar path would — as flat ``(keys, his, los,
-    update)`` array chunks, never materializing per-candidate Python
-    objects (the dense store keeps the ints; ``candidate_from_row``
-    rebuilds a :class:`Candidate` only when the scheduler selects one).
-    Intra candidates are not handled here: a node has at most ``|ports|``
-    of them, and the scalar probe is already minimal.
+    gated permissible inter candidates that
+    :func:`repro.core.candidates.iter_node_candidates` enumerates — as
+    flat ``(keys, his, los, update)`` array chunks, never materializing
+    per-candidate Python objects (the store keeps the ints;
+    ``candidate_from_row`` rebuilds a :class:`Candidate` only when the
+    scheduler selects one). Intra candidates are not handled here: a node
+    has at most ``|ports|`` of them, and the scalar probe is already
+    minimal.
     """
 
     __slots__ = (
@@ -549,8 +484,11 @@ class BatchContext:
         n = world._next_nid
         cid_col = idx.cid[:n]
         cids = np.unique(cid_col)
-        if len(cids) > MAX_TAG_COMPONENTS:  # pragma: no cover - 2**14 comps
-            raise OverflowError("component count beyond occupancy-tag range")
+        if len(cids) > MAX_TAG_COMPONENTS:
+            raise OverflowError(
+                f"{len(cids)} components exceed the occupancy-tag range "
+                f"({MAX_TAG_COMPONENTS})"
+            )
         self._cids = cids
         #: Per-node tag base: dense component index in the high bits.
         self.node_tag = np.searchsorted(cids, cid_col) << CELL_TAG_SHIFT
@@ -566,19 +504,23 @@ class BatchContext:
     def inter_rows(self, nids, sink) -> None:
         """Emit inter entry rows for a batch of live dirty nodes.
 
-        ``sink`` receives ``(keys, his, los, update)`` array chunks; rows
-        are unique within one call except when *both* endpoints of a pair
-        are dirty (each side emits it once) — the caller dedups by key,
-        which is also how it reproduces the scalar evaluation count.
+        ``sink`` receives non-empty ``(keys, his, los, update)`` array
+        chunks, ``update`` being the group's ``lookup`` — ``None`` for a
+        handler-lowered group that turned out ineffective. Rows are unique
+        within one call except when *both* endpoints of a pair are dirty
+        (each side emits it once) — the caller dedups by key, which is
+        also how it counts one evaluation per candidate.
 
         Grouping: dirty nodes by component, then by state. The hot /
         pair-can-fire gates run once per state pair (kernel 1); the
-        member-array masks below them replace per-node probes.
+        member-array masks below them replace per-node probes. A group is
+        dispatched only once it has a permissible row, so a handler only
+        ever sees interactions that can actually occur.
         """
         idx = self.idx
         world = self.world
         program = self.program
-        hot_mask = program.hot_mask
+        is_hot = program.is_hot_id
         nid_arr = np.fromiter(nids, dtype=np.int64, count=len(nids))
         my_cids = idx.cid[nid_arr]
         for cid in np.unique(my_cids).tolist():
@@ -589,9 +531,9 @@ class BatchContext:
             sids = idx.sid[dn_comp]
             for sid in np.unique(sids).tolist():
                 dn = dn_comp[sids == sid]
-                nid_hot = bool(hot_mask >> sid & 1)
+                nid_hot = is_hot(sid)
                 for partner_sid in world.by_sid:
-                    if not (nid_hot or hot_mask >> partner_sid & 1):
+                    if not (nid_hot or is_hot(partner_sid)):
                         continue
                     if not program.pair_can_fire(sid, partner_sid):
                         continue
@@ -630,9 +572,7 @@ class BatchContext:
         ptag = self.node_tag[members]
         occ_tags = self.occ_tags
         for p1i, p2i in program.oriented_hints(sid, partner_sid):
-            update = program.lookup(sid, p1i, partner_sid, p2i, 0)
-            if update is None:  # pragma: no cover - exact hints always hit
-                continue
+            lhs = (sid, p1i, partner_sid, p2i, 0)
             d1s = ORIENT_DELTAS[dorient, p1i]
             targets = dpos + d1s
             open_ = ~in_sorted(my_tag | targets, occ_tags)
@@ -661,21 +601,22 @@ class BatchContext:
                         if ps.any():
                             self._emit_guest(
                                 gn, gt, members[ps], ppos[ps], rot, code,
-                                kbase, hbase, update, None, None, sink,
+                                kbase, hbase, lhs, None, None, sink,
                             )
                         pm = pmask & ~single
                         if pm.any():
                             self._emit_guest(
                                 gn, gt, members[pm], ppos[pm], rot, code,
-                                kbase, hbase, update, geom, ptag[pm], sink,
+                                kbase, hbase, lhs, geom, ptag[pm], sink,
                             )
 
     def _emit_guest(
-        self, gn, gt, pj, pjpos, rot, code, kbase, hbase, update,
+        self, gn, gt, pj, pjpos, rot, code, kbase, hbase, lhs,
         geom, ptag, sink,
     ) -> None:
         """One (delta-group, rotation) guest block: ``len(gn) × len(pj)``
-        placements, each dirty node hosting each partner.
+        placements, each dirty node hosting each partner, dispatched on
+        the group's ``lhs`` ``(s1, p1, s2, p2, bond)``.
 
         ``geom is None`` marks the singleton fast path (no probe). For
         multi-cell partners the collision probe runs in the *partner*
@@ -715,6 +656,7 @@ class BatchContext:
             + hbase
         )
         los = (code << L_ROT_SHIFT) + trans + PACKED_ORIGIN
+        update = self.program.lookup(*lhs)
         if ok is None:
             sink.append(
                 (keys.reshape(-1), his.reshape(-1), los.reshape(-1), update)
@@ -737,9 +679,6 @@ class BatchContext:
         ptag = self.node_tag[members]
         occ_tags = self.occ_tags
         for p1i, p2i in program.oriented_hints(partner_sid, sid):
-            update = program.lookup(partner_sid, p1i, sid, p2i, 0)
-            if update is None:  # pragma: no cover - exact hints always hit
-                continue
             d1s = ORIENT_DELTAS[porient, p1i]
             gtargets = pcell + d1s
             open_ = ~in_sorted(ptag | gtargets, occ_tags)
@@ -796,6 +735,7 @@ class BatchContext:
                             + hbase
                         )
                         los = (code << L_ROT_SHIFT) + trans + PACKED_ORIGIN
+                        update = program.lookup(partner_sid, p1i, sid, p2i, 0)
                         if ok is None:
                             sink.append(
                                 (

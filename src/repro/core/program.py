@@ -26,22 +26,26 @@ strings. This module compiles any protocol down to a small-int IR:
 * :class:`MemoProgram` — the escape hatch for handler-backed protocols
   (:class:`~repro.core.protocol.AgentProtocol` and friends): observed
   transitions are lowered into the same packed table lazily, so repeat
-  interactions cost one int-dict hit instead of a handler call. Its
-  static indexes are *not* closed-world (``exact = False``), so the
-  pruning layer never consults them.
+  interactions cost one int-dict hit instead of a handler call. It is
+  *not* closed-world (``exact = False``): its gates — hot state, pair
+  compatibility, oriented port hints — come from the protocol's own
+  over-approximate hints, memoized per interned state, and it never
+  proves a ``(state, port, bond)`` endpoint dead.
 
 ``World`` adopts a program's :class:`StateSpace` (see
 ``World.adopt_space``) so node records store interned ids internally and
-the scheduler's ``evaluate`` fast path reads them with no conversion;
-public states cross the boundary only at ``add_*`` / ``state_of`` /
-render edges.
+the scheduler's ``evaluate`` reads them with no conversion; public states
+cross the boundary only at ``add_*`` / ``state_of`` / render edges.
 
-The columnar batch kernels (:mod:`repro.core.columnar`) consume the same
-compiled artifacts: interned state ids become the per-node ``sid``
-column, ``can_fire``'s ``(state, port, bond)`` index becomes a vectorized
-static-effectiveness mask, and exact tables let the batch path skip
-scalar re-evaluation of inter-component candidates whose oriented hints
-already pinned the unique alignment.
+Every program answers the same gate questions (:meth:`CompiledProgram.
+is_hot_id`, :meth:`~CompiledProgram.pair_can_fire`,
+:meth:`~CompiledProgram.oriented_hints`, :meth:`~CompiledProgram.can_fire`),
+and the columnar batch kernels (:mod:`repro.core.columnar`) consume them
+on interned ids: the per-node ``sid`` column, per-state-pair gates, and
+one :meth:`~CompiledProgram.lookup` per ``(state pair, port pair)`` group.
+For an exact program every hinted row is effective; for a
+:class:`MemoProgram` the group's memoized update may be ``None``, and the
+candidate cache drops those rows after counting their evaluations.
 """
 
 from __future__ import annotations
@@ -225,10 +229,10 @@ class CompiledProgram:
     """A compiled protocol: state space, packed table, static indexes.
 
     ``exact`` declares the table and indexes *complete*: no transition
-    outside the table can ever be effective. Only exact programs feed the
-    static-effectiveness pruning layer; lazily-lowered handler programs
-    (:class:`MemoProgram`) set ``exact = False`` and the candidate layer
-    falls back to the protocol's own over-approximate hints.
+    outside the table can ever be effective, so every candidate that
+    passes the gates below is effective. Lazily-lowered handler programs
+    (:class:`MemoProgram`) set ``exact = False`` and answer the same
+    gates from the protocol's own over-approximate hints.
     """
 
     __slots__ = (
@@ -274,7 +278,7 @@ class CompiledProgram:
             (s1 << _S1_SHIFT) | (s2 << _S2_SHIFT) | (p1 << _P1_SHIFT) | (p2 << 1) | bond
         )
 
-    # -- static indexes (meaningful only when ``exact``) ---------------
+    # -- static indexes: the candidate layer's gates --------------------
 
     def is_hot_id(self, sid: int) -> bool:
         return bool(self.hot_mask >> sid & 1)
@@ -447,11 +451,19 @@ class MemoProgram(CompiledProgram):
     so effectiveness is never re-checked per interaction); the observed
     update — or ineffectiveness — is memoized under the same int key the
     exact table uses. ``exact`` stays ``False``: the table only records
-    what has been *observed*, so the static pruning layer must not treat
-    absence as impossibility.
+    what has been *observed*, so absence is never impossibility.
+
+    The gates come from the protocol's public hints instead —
+    ``is_hot``, ``pair_compatible`` and ``port_hints`` (``None`` meaning
+    every port pair of the protocol's dimension) — decoded once per
+    interned state (pair) and memoized, which is sound because hints are
+    pure functions of the states. :meth:`can_fire` proves nothing.
     """
 
-    __slots__ = ("_protocol", "_memo", "_ports")
+    __slots__ = (
+        "_protocol", "_memo", "_ports", "_hot_ids", "_compatible",
+        "_port_hints", "_all_hints",
+    )
 
     def __init__(self, protocol) -> None:
         super().__init__(
@@ -461,6 +473,51 @@ class MemoProgram(CompiledProgram):
         self._memo: Dict[int, Optional[Update]] = {}
         # Port objects by packed index, for reconstructing boundary views.
         self._ports: Tuple[Port, ...] = tuple(PORT_INDEX)
+        self._hot_ids: Dict[int, bool] = {}
+        self._compatible: Dict[int, bool] = {}
+        self._port_hints: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._all_hints = tuple(
+            (PORT_INDEX[p1], PORT_INDEX[p2])
+            for p1 in protocol.ports
+            for p2 in protocol.ports
+        )
+
+    def is_hot_id(self, sid: int) -> bool:
+        hot = self._hot_ids.get(sid)
+        if hot is None:
+            hot = bool(self._protocol.is_hot(self.space.states[sid]))
+            self._hot_ids[sid] = hot
+        return hot
+
+    def can_fire(self, sid: int, p: int, bond: int) -> bool:
+        return True  # not closed-world: no endpoint is provably dead
+
+    def pair_can_fire(self, sid1: int, sid2: int) -> bool:
+        """``protocol.pair_compatible`` on the decoded states, as asked."""
+        key = (sid1 << STATE_BITS) | sid2
+        ok = self._compatible.get(key)
+        if ok is None:
+            decode = self.space.states
+            ok = bool(self._protocol.pair_compatible(decode[sid1], decode[sid2]))
+            self._compatible[key] = ok
+        return ok
+
+    def oriented_hints(self, sid1: int, sid2: int) -> Tuple[Tuple[int, int], ...]:
+        """``protocol.port_hints`` as ``(port of state1, port of state2)``
+        index pairs; every port pair when the protocol gives none."""
+        key = (sid1 << STATE_BITS) | sid2
+        hints = self._port_hints.get(key)
+        if hints is None:
+            decode = self.space.states
+            ports = self._protocol.port_hints(decode[sid1], decode[sid2])
+            if ports is None:
+                hints = self._all_hints
+            else:
+                hints = tuple(
+                    sorted((PORT_INDEX[p1], PORT_INDEX[p2]) for p1, p2 in ports)
+                )
+            self._port_hints[key] = hints
+        return hints
 
     def lookup(self, s1: int, p1: int, s2: int, p2: int, bond: int) -> Optional[Update]:
         key = (s1 << _S1_SHIFT) | (s2 << _S2_SHIFT) | (p1 << _P1_SHIFT) | (p2 << 1) | bond

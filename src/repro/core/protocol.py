@@ -109,29 +109,20 @@ class Protocol:
     #: The initial state of the unique leader, when the protocol uses one.
     leader_state: Optional[State] = None
 
-    #: Dispatch toggle: ``False`` disables the compiled fast path (the
-    #: :attr:`program` property returns ``None``), forcing schedulers back
-    #: onto boundary-state ``handle`` dispatch. Used by the equivalence
-    #: tests and dispatch benchmarks; seeded trajectories are identical
-    #: either way.
-    compiled: bool = True
-
     @property
     def ports(self) -> Tuple[Port, ...]:
         """The port set P of the model (u,r,d,l in 2D)."""
         return ports_for_dimension(self.dimension)
 
     @property
-    def program(self) -> Optional[CompiledProgram]:
+    def program(self) -> CompiledProgram:
         """The compiled IR of this protocol (see :mod:`repro.core.program`).
 
         Rule protocols compile eagerly at construction; anything else is
         lowered lazily through a memoizing :class:`MemoProgram` adapter
         that interns observed transitions into the same packed table.
-        Returns ``None`` when :attr:`compiled` is switched off.
+        Every scheduler dispatches through it.
         """
-        if not self.compiled:
-            return None
         prog = getattr(self, "_program", None)
         if prog is None:
             prog = MemoProgram(self)

@@ -31,6 +31,11 @@ effective-candidate layer of :mod:`repro.core.candidates`:
 * :class:`RoundRobinScheduler` — a deterministic *fair* adversary cycling
   through the same canonical candidate list.
 
+Every scheduler dispatches ``delta`` through the protocol's compiled
+program (:func:`evaluate`) — exact rule tables and lazily lowered handlers
+alike — and the cached ones share one candidate store, the columnar
+:class:`EffectiveCandidateCache`; there is no backend to choose.
+
 Scheduler contract
 ------------------
 
@@ -67,10 +72,11 @@ from repro.errors import SchedulerError
 from repro.core.candidates import (
     EffectiveCandidateCache,
     Entry,
+    bound_program,
     hot_effective_candidates,
     reference_effective_candidates,
 )
-from repro.core.protocol import InteractionView, Protocol, Update
+from repro.core.protocol import Protocol, Update
 from repro.core.sampling import geometric_from_uniform
 from repro.core.world import Candidate, World
 from repro.geometry.ports import PORT_INDEX
@@ -93,32 +99,21 @@ class ScheduledEvent:
 def evaluate(protocol: Protocol, world: World, cand: Candidate) -> Optional[Update]:
     """Apply the protocol's delta to a candidate; ``None`` if ineffective.
 
-    When the world is bound to the protocol's compiled program (it has
-    adopted the program's state space), dispatch is the packed-IR fast
-    path: node records already hold interned ids, so the whole ``delta``
-    application is one int-dict hit with zero tuple or view allocation.
-    Otherwise the boundary path builds an :class:`InteractionView` of
-    public states and calls ``handle`` — same result, pinned by the
-    compiled-vs-boundary equivalence tests.
+    Dispatch runs on the protocol's compiled program (rule tables and
+    lazily lowered handlers alike): node records of a world bound to it
+    hold interned ids, so the whole ``delta`` application is one int-dict
+    hit with zero tuple or view allocation. An unbound world is bound
+    here first (:func:`~repro.core.candidates.bound_program`).
     """
-    program = protocol.program
-    if program is not None and world.space is program.space:
-        nodes = world.nodes
-        return program.lookup(
-            nodes[cand.nid1].sid,
-            PORT_INDEX[cand.port1],
-            nodes[cand.nid2].sid,
-            PORT_INDEX[cand.port2],
-            cand.bond,
-        )
-    view = InteractionView(
-        world.state_of(cand.nid1),
-        cand.port1,
-        world.state_of(cand.nid2),
-        cand.port2,
+    program = bound_program(world, protocol)
+    nodes = world.nodes
+    return program.lookup(
+        nodes[cand.nid1].sid,
+        PORT_INDEX[cand.port1],
+        nodes[cand.nid2].sid,
+        PORT_INDEX[cand.port2],
         cand.bond,
     )
-    return protocol.handle(view)
 
 
 class Scheduler:
@@ -193,12 +188,11 @@ class RejectionScheduler(Scheduler):
         max_trials: Optional[int] = None,
         incremental: bool = True,
         split_delta: bool = True,
-        columnar: Optional[bool] = None,
     ) -> None:
         super().__init__()
         self.max_trials = max_trials
         self._cache = (
-            EffectiveCandidateCache(split_delta=split_delta, columnar=columnar)
+            EffectiveCandidateCache(split_delta=split_delta)
             if incremental
             else None
         )
@@ -285,16 +279,11 @@ class HotScheduler(Scheduler):
 
     tracks_raw_steps = False
 
-    def __init__(
-        self,
-        incremental: bool = True,
-        split_delta: bool = True,
-        columnar: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, incremental: bool = True, split_delta: bool = True) -> None:
         super().__init__()
         self.incremental = incremental
         self._cache = (
-            EffectiveCandidateCache(split_delta=split_delta, columnar=columnar)
+            EffectiveCandidateCache(split_delta=split_delta)
             if incremental
             else None
         )
@@ -331,16 +320,11 @@ class RoundRobinScheduler(Scheduler):
 
     tracks_raw_steps = False
 
-    def __init__(
-        self,
-        incremental: bool = True,
-        split_delta: bool = True,
-        columnar: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, incremental: bool = True, split_delta: bool = True) -> None:
         super().__init__()
         self._turn = 0
         self._cache = (
-            EffectiveCandidateCache(split_delta=split_delta, columnar=columnar)
+            EffectiveCandidateCache(split_delta=split_delta)
             if incremental
             else None
         )

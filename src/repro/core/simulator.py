@@ -138,12 +138,10 @@ class Simulation:
         if self.rng is None:
             self.rng = random.Random(self.seed)
         # Bind the world to the protocol's compiled program: the world
-        # adopts its canonical state space, so dispatch in the scheduler
-        # fast path compares interned ids with no translation. Idempotent;
-        # worlds built via ``World.of_free_nodes`` are already bound.
-        program = self.protocol.program
-        if program is not None:
-            self.world.adopt_space(program.space)
+        # adopts its canonical state space, so scheduler dispatch compares
+        # interned ids with no translation. Idempotent; worlds built via
+        # ``World.of_free_nodes`` are already bound.
+        self.world.adopt_space(self.protocol.program.space)
         notify_simulation_observers(self)
 
     # ------------------------------------------------------------------

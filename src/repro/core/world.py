@@ -427,11 +427,9 @@ class World:
         """A solution of ``n`` free nodes; the first ``leaders`` nodes start
         in the protocol's leader state, the rest in its initial state."""
         world = World(protocol.dimension)
-        program = protocol.program
-        if program is not None:
-            # Share the protocol's canonical interning up front so ids are
-            # rule-sort-derived and the dispatch fast path never converts.
-            world.adopt_space(program.space)
+        # Share the protocol's canonical interning up front so ids are
+        # rule-sort-derived and dispatch never converts.
+        world.adopt_space(protocol.program.space)
         for i in range(n):
             if i < leaders:
                 if protocol.leader_state is None:

@@ -364,12 +364,11 @@ def describe_scenario(scenario: Scenario) -> str:
             + (f": {p.help}" if p.help else "")
         )
     if scenario.protocols:
-        # Scheduler-driven scenarios report the candidate backend the
-        # schedulers would use (columnar vs pure-Python fallback, resolved
-        # against REPRO_COLUMNAR and numpy availability) and their
-        # compiled programs: state count, rule count and hot-state set of
-        # the packed IR the schedulers actually dispatch on
-        # (repro.core.program).
+        # Scheduler-driven scenarios report the candidate backend (the one
+        # columnar store, which every compiled program runs on, exact or
+        # handler-lowered) and their compiled programs: state count, rule
+        # count and hot-state set of the packed IR the schedulers
+        # dispatch on (repro.core.program).
         from repro.analysis.protocol import analyze_protocol
         from repro.core.columnar import backend_name
 

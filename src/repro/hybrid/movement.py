@@ -183,9 +183,7 @@ class HybridSimulation:
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
         self._cache = EffectiveCandidateCache()
-        program = self.protocol.program
-        if program is not None:
-            self.world.adopt_space(program.space)
+        self.world.adopt_space(self.protocol.program.space)
         # Offer this run to any active recording (repro.trace.record): the
         # writer binds through the same world/seed/trace surface as a core
         # Simulation. Passive picks go through the TraceHook; leaf swings

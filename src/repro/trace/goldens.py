@@ -12,10 +12,6 @@ is two-sided:
    streams identical. Any behavioral change fails naming the exact first
    diverging event instead of a hand-run fingerprint battery.
 
-Traces are byte-identical across the columnar and pure-Python candidate
-backends (the determinism contract), so CI runs the check under both
-``REPRO_COLUMNAR`` legs against one committed artifact set.
-
 Specs cover the scenario families: line and square construction
 (``demo``'s two runs), §7 line self-replication, the leaderless line,
 injected faults/splits, the hybrid Nubot-style walker (move records),

@@ -6,16 +6,16 @@ Pins the invariants the batch kernels rest on:
   historical tuple ``candidate_sort_key`` (hypothesis, mixed 2D/3D);
 * ``(key, hi, lo)`` rows round-trip to the exact ``Candidate``;
 * ``rotate_cells`` / ``in_sorted`` agree with their scalar definitions;
-* the backend toggle (``columnar=``, ``set_columnar_default``,
-  ``REPRO_COLUMNAR``) resolves as documented, and columnar-on vs
-  columnar-off runs produce bit-identical seeded trajectories;
-* ``ColumnarIndex`` stays coherent with the dict world through merges.
+* ``ColumnarIndex`` stays coherent with the dict world through merges;
+* a world beyond the occupancy-tag range fails loudly instead of running
+  on a second store.
 
 The randomized world-mutation stress harness in
 ``tests/test_world_deltas.py`` drives the same assertions through
 splits, surgery and moves; this module is the deterministic pinning.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,17 +26,13 @@ from repro.core.candidates import (
     candidate_sort_key,
 )
 from repro.core.protocol import Rule, RuleProtocol
-from repro.core.scheduler import evaluate, make_scheduler
+from repro.core.scheduler import evaluate
 from repro.core.simulator import Simulation
-from repro.core.trace import TraceRecorder
 from repro.core.world import Candidate, World
 from repro.geometry.packed import pack, unpack
 from repro.geometry.ports import PORTS_2D, PORTS_3D, opposite
 from repro.geometry.rotation import rotations_for_dimension
 from repro.geometry.vec import Vec
-
-HAVE_NUMPY = columnar.np is not None
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy required")
 
 ALL_ROTATIONS = tuple(
     {r.matrix: r for d in (2, 3) for r in rotations_for_dimension(d)}.values()
@@ -105,7 +101,6 @@ class TestPackedKeys:
             columnar.packed_key(cand)
 
 
-@needs_numpy
 class TestArrayKernels:
     @given(
         st.sampled_from(ALL_ROTATIONS),
@@ -115,7 +110,6 @@ class TestArrayKernels:
     )
     @settings(max_examples=150, deadline=None)
     def test_rotate_cells_matches_rotation(self, rot, points):
-        np = columnar.np
         cells = np.fromiter(
             (pack(Vec(*p)) for p in points), np.int64, count=len(points)
         )
@@ -133,7 +127,6 @@ class TestArrayKernels:
     )
     @settings(max_examples=150, deadline=None)
     def test_in_sorted_matches_set_membership(self, values, member_list):
-        np = columnar.np
         members = np.array(sorted(set(member_list)), dtype=np.int64)
         vals = np.array(values, dtype=np.int64)
         got = columnar.in_sorted(vals, members)
@@ -141,92 +134,6 @@ class TestArrayKernels:
         assert list(got) == want
 
 
-class TestBackendToggle:
-    def test_resolve_and_name(self):
-        assert columnar.resolve_columnar(False) is False
-        assert "fallback" in columnar.backend_name(False)
-        if HAVE_NUMPY:
-            assert columnar.resolve_columnar(True) is True
-            assert columnar.backend_name(True) == "columnar (numpy)"
-        else:
-            assert columnar.resolve_columnar(True) is False
-
-    def test_process_default_override(self):
-        try:
-            columnar.set_columnar_default(False)
-            assert columnar.columnar_default() is False
-            assert columnar.resolve_columnar(None) is False
-            columnar.set_columnar_default(True)
-            assert columnar.columnar_default() is HAVE_NUMPY
-        finally:
-            columnar.set_columnar_default(None)
-
-    def test_env_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        assert columnar.columnar_default() is False
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
-        assert columnar.columnar_default() is HAVE_NUMPY
-
-    def test_cache_honors_flag(self):
-        world = World(2)
-        protocol = gluing_protocol()
-        for _ in range(4):
-            world.add_free_node("g")
-        world.adopt_space(protocol.program.space)
-        off = EffectiveCandidateCache(columnar=False)
-        off.refresh(world, protocol, evaluate)
-        assert not off._dense
-        if HAVE_NUMPY:
-            on = EffectiveCandidateCache(columnar=True)
-            on.refresh(world, protocol, evaluate)
-            assert on._dense
-
-
-@needs_numpy
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("dimension", (2, 3))
-    @pytest.mark.parametrize(
-        "kind,kwargs",
-        (
-            ("hot", {"incremental": True}),
-            ("rejection", {}),
-            ("round-robin", {}),
-        ),
-    )
-    def test_identical_trajectories(self, dimension, kind, kwargs):
-        protocol = gluing_protocol(dimension)
-        traces = {}
-        for flag in (True, False):
-            world = World.of_free_nodes(16, protocol, leaders=0)
-            rec = TraceRecorder()
-            sim = Simulation(
-                world,
-                protocol,
-                scheduler=make_scheduler(kind, columnar=flag, **kwargs),
-                seed=7,
-                trace=rec.hook,
-            )
-            res = sim.run(max_events=15)
-            traces[flag] = (rec.to_list(), res.events, res.raw_steps)
-        assert traces[True] == traces[False]
-
-    def test_identical_effective_sets_and_counts(self):
-        protocol = gluing_protocol()
-        sets = {}
-        for flag in (True, False):
-            world = World.of_free_nodes(10, protocol, leaders=0)
-            sim = Simulation(world, protocol, seed=3)
-            cache = EffectiveCandidateCache(columnar=flag)
-            got = list(cache.refresh(world, protocol, evaluate))
-            for _ in range(5):
-                sim.step()
-                got.extend(cache.refresh(world, protocol, evaluate))
-            sets[flag] = (got, cache.evaluations)
-        assert sets[True][0] == sets[False][0]
-        assert sets[True][1] == sets[False][1]
-
-
-@needs_numpy
 class TestColumnarIndex:
     def test_sync_through_events(self):
         protocol = gluing_protocol()
@@ -249,3 +156,15 @@ class TestColumnarIndex:
         sid = world.nodes[0].sid
         members = idx.members_array(sid)
         assert members.tolist() == sorted(world.by_sid[sid])
+
+
+def test_components_beyond_tag_range_raise(monkeypatch):
+    # One store, no silent fallback: a world with more components than
+    # the occupancy tags can address fails loudly at the cache.
+    protocol = gluing_protocol()
+    world = World.of_free_nodes(5, protocol, leaders=0)
+    monkeypatch.setattr(columnar, "MAX_TAG_COMPONENTS", 4)
+    with pytest.raises(OverflowError, match="occupancy-tag range"):
+        EffectiveCandidateCache().refresh(world, protocol, evaluate)
+    monkeypatch.setattr(columnar, "MAX_TAG_COMPONENTS", 5)
+    assert len(EffectiveCandidateCache().refresh(world, protocol, evaluate))

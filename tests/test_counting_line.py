@@ -10,6 +10,7 @@ from repro.constructors.counting_line import (
 from repro.core.scheduler import EnumeratingScheduler, RejectionScheduler
 from repro.core.simulator import Simulation
 from repro.errors import SimulationError
+from repro.experiments import ExperimentSpec, run_experiment
 
 
 @pytest.mark.parametrize("n,b", [(10, 3), (24, 4), (48, 4)])
@@ -77,3 +78,11 @@ def test_tape_stores_r0_in_binary():
     # decode_counters already read the binary tape; its consistency with
     # the result object is the assertion.
     assert res.r0.bit_length() == res.line_length
+
+
+def test_registry_run_reports_pinned_events_and_evaluations():
+    # The handler-lowered program's seeded trajectory and evaluation count
+    # on the candidate cache, as the benchmark's counting-trace pins them.
+    result = run_experiment(ExperimentSpec("counting-line", {"n": 32}, seed=3))
+    assert result.events == 522
+    assert result.evaluations == 64_472

@@ -1,5 +1,5 @@
 """The rule DSL: expansions equal the hand-written tables, dispatch is
-bit-identical compiled or not.
+bit-identical whether a delta is an exact table or a lowered handler.
 
 The legacy builders below are the seed's hand-written nested loops,
 copied verbatim — the DSL-expanded protocol modules must reproduce their
@@ -10,7 +10,7 @@ the original handler on every interaction of its state/port universe.
 
 import pytest
 
-from repro.core.protocol import InteractionView, Rule, RuleProtocol
+from repro.core.protocol import AgentProtocol, InteractionView, Rule, RuleProtocol
 from repro.core.scheduler import make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.trace import TraceRecorder, world_to_dict
@@ -237,7 +237,7 @@ def test_leaderless_table_agrees_with_handler_everywhere():
 
 
 # ----------------------------------------------------------------------
-# Compiled vs. boundary dispatch: bit-identical seeded trajectories
+# Exact table vs. handler-lowered dispatch: bit-identical trajectories
 # ----------------------------------------------------------------------
 
 
@@ -254,12 +254,19 @@ def _traced_run(protocol, n, leaders, kind, seed, max_events=400):
 
 @pytest.mark.parametrize("kind", ["hot", "enumerate", "rejection", "round-robin"])
 def test_compiled_and_uncompiled_dispatch_are_bit_identical(kind):
-    compiled = _traced_run(spanning_line_protocol(), 9, 1, kind, seed=5)
-    plain = spanning_line_protocol()
-    plain.compiled = False  # force boundary InteractionView dispatch
-    assert plain.program is None
-    uncompiled = _traced_run(plain, 9, 1, kind, seed=5)
-    assert compiled == uncompiled
+    # The same delta twice: compiled into an exact rule table, and as a
+    # handler lowered lazily through MemoProgram with the default all-hot,
+    # all-ports hints.
+    table = spanning_line_protocol()
+    handler = AgentProtocol(
+        table.handle,
+        initial_state=table.initial_state,
+        leader_state=table.leader_state,
+    )
+    assert table.program.exact and not handler.program.exact
+    from_table = _traced_run(table, 9, 1, kind, seed=5)
+    from_handler = _traced_run(handler, 9, 1, kind, seed=5)
+    assert from_table == from_handler
 
 
 @pytest.mark.parametrize("kind", ["hot", "enumerate", "rejection", "round-robin"])

@@ -1,12 +1,11 @@
 """Tests for the streaming trace subsystem (``repro.trace``).
 
 The contract under test: a recorded ``repro.trace/v1`` file replays into
-**any** intermediate world bit-exactly — across all four schedulers, both
-candidate backends, and under injected faults — and a tampered or
-truncated trace is *rejected* with :class:`TraceError`, never replayed
-into a wrong world. Trace bytes themselves are deterministic: identical
-(initial world, seed, scheduler) produce byte-identical files, columnar
-or fallback backend alike.
+**any** intermediate world bit-exactly — across all four schedulers and
+under injected faults — and a tampered or truncated trace is *rejected*
+with :class:`TraceError`, never replayed into a wrong world. Trace bytes
+themselves are deterministic: identical (initial world, seed, scheduler)
+produce byte-identical files.
 
 Also covers the in-memory compatibility layer's sharpened divergence
 diagnostics (``repro.core.trace.replay`` now validates node states, not
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import columnar
 from repro.core.scheduler import make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.trace import TraceRecorder, world_from_dict, world_to_dict
@@ -36,8 +34,6 @@ from repro.trace import (
     validate_trace_bytes,
     world_digest,
 )
-
-HAVE_NUMPY = columnar.np is not None
 
 SCHEDULERS = ("hot", "enumerate", "rejection", "round-robin")
 
@@ -127,20 +123,6 @@ class TestRoundTrip:
         record_line_run(tmp_path / "b.trace", 10, 42)
         assert (tmp_path / "a.trace").read_bytes() == (
             tmp_path / "b.trace"
-        ).read_bytes()
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="only one backend available")
-    def test_trace_bytes_identical_across_backends(self, tmp_path):
-        # The determinism contract extends to the artifact: columnar and
-        # pure-Python fallback backends must write byte-identical traces.
-        record_line_run(tmp_path / "columnar.trace", 10, 5)
-        try:
-            columnar.set_columnar_default(False)
-            record_line_run(tmp_path / "fallback.trace", 10, 5)
-        finally:
-            columnar.set_columnar_default(None)
-        assert (tmp_path / "columnar.trace").read_bytes() == (
-            tmp_path / "fallback.trace"
         ).read_bytes()
 
     def test_out_of_range_target_rejected(self, tmp_path):

@@ -16,10 +16,14 @@ mutation:
   trail is strictly increasing record by record;
 * the coarse sweep (``split_delta=False``) and the fine delta path agree
   — the delta machinery is an optimization, never a semantic change;
-* (with numpy) the journal-synced flat columns of the columnar backend
+* the journal-synced flat columns of the columnar backend
   (``repro.core.columnar.ColumnarIndex``) equal the dict world after
-  every mutation, and the columnar and pure-Python fallback caches
-  serve identical effective sets.
+  every mutation.
+
+The interleaved-mutation and snapshot-restore legs run twice: on the
+exact gluing table and on its handler twin (the same delta lowered
+lazily, ``exact=False``), whose over-approximate hints make the cache's
+batch kernel generate, count and drop ineffective rows.
 
 This is the chaos-testing layer the fault/repair dynamics of the paper
 lean on: every bond deletion and node excision must keep the cache exact.
@@ -37,7 +41,7 @@ from repro.core.candidates import (
     hot_effective_candidates,
     reference_effective_candidates,
 )
-from repro.core.protocol import Rule, RuleProtocol
+from repro.core.protocol import AgentProtocol, Rule, RuleProtocol
 from repro.core.scheduler import evaluate, make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.world import World
@@ -48,8 +52,6 @@ from repro.core import columnar
 from repro.geometry.ports import PORTS_2D, PORTS_3D, opposite
 from repro.geometry.vec import Vec
 from repro.hybrid.movement import rotate_leaf
-
-HAVE_NUMPY = columnar.np is not None
 
 SCHEDULER_KINDS = (
     ("enumerate", {}),
@@ -64,6 +66,15 @@ def gluing_protocol(dimension: int = 2) -> RuleProtocol:
     rules = [Rule("g", p, "g", opposite(p), 0, "g", "g", 1) for p in ports]
     return RuleProtocol(
         rules, initial_state="g", name="gluing", dimension=dimension
+    )
+
+
+def gluing_handler_protocol(dimension: int = 2) -> AgentProtocol:
+    """The gluing table's handler twin, with the default all-hot hints."""
+    table = gluing_protocol(dimension)
+    return AgentProtocol(
+        table.handle, initial_state="g", name="gluing-handler",
+        dimension=dimension,
     )
 
 
@@ -171,7 +182,7 @@ def apply_random_mutation(world, sim, rng) -> str:
     return "event"
 
 
-def assert_cache_in_sync(cache, world, protocol, fallback=None):
+def assert_cache_in_sync(cache, world, protocol):
     got = cache.refresh(world, protocol, evaluate)
     brute = hot_effective_candidates(world, protocol, evaluate)
     want, _perm = reference_effective_candidates(world, protocol, evaluate)
@@ -179,57 +190,67 @@ def assert_cache_in_sync(cache, world, protocol, fallback=None):
     assert keys == sorted(keys)
     assert got == brute
     assert got == want
-    if fallback is not None:
-        # The pure-Python fallback cache walks the same journals and
-        # must land on the identical canonical list.
-        assert fallback.refresh(world, protocol, evaluate) == got
-    if HAVE_NUMPY:
-        # The flat columns, synced purely from the journals, must
-        # equal the dict world cell for cell after every mutation.
-        idx = columnar.get_index(world)
-        idx.sync()
-        idx.verify(world)
+    # The flat columns, synced purely from the journals, must equal the
+    # dict world cell for cell after every mutation.
+    idx = columnar.get_index(world)
+    idx.sync()
+    idx.verify(world)
+
+
+def check_interleaved_mutations(protocol, kind, kwargs, n, seed):
+    world = World(protocol.dimension)
+    for _ in range(n):
+        world.add_free_node("g")
+    rng = random.Random(seed)
+    sim = Simulation(
+        world,
+        protocol,
+        scheduler=make_scheduler(kind, **kwargs),
+        seed=seed,
+    )
+    cache = EffectiveCandidateCache()
+    observer = JournalObserver(world)
+    assert_cache_in_sync(cache, world, protocol)
+    for _ in range(30):
+        apply_random_mutation(world, sim, rng)
+        world.check_invariants()
+        observer.check()
+        assert_cache_in_sync(cache, world, protocol)
+
+
+SEEDS = st.integers(min_value=0, max_value=10_000)
+DIMENSIONS = st.sampled_from((2, 3))
 
 
 class TestRandomizedMutationStress:
-    """Cache == brute force == reference after every random mutation."""
+    """Cache == brute force == reference after every random mutation.
 
-    def _assert_in_sync(self, cache, world, protocol, fallback=None):
-        assert_cache_in_sync(cache, world, protocol, fallback)
+    The ``*_handler_twin`` legs run fewer, smaller worlds: the twin's
+    all-port hints make both oracles several times slower.
+    """
 
     @pytest.mark.parametrize("kind,kwargs", SCHEDULER_KINDS)
-    @given(
-        n=st.integers(min_value=3, max_value=9),
-        seed=st.integers(min_value=0, max_value=10_000),
-        dimension=st.sampled_from((2, 3)),
-    )
+    @given(n=st.integers(min_value=3, max_value=9), seed=SEEDS, dimension=DIMENSIONS)
     @settings(max_examples=8, deadline=None)
     def test_interleaved_mutations(self, kind, kwargs, n, seed, dimension):
-        protocol = gluing_protocol(dimension)
-        world = World(dimension)
-        for _ in range(n):
-            world.add_free_node("g")
-        rng = random.Random(seed)
-        sim = Simulation(
-            world,
-            protocol,
-            scheduler=make_scheduler(kind, **kwargs),
-            seed=seed,
+        check_interleaved_mutations(
+            gluing_protocol(dimension), kind, kwargs, n, seed
         )
-        cache = EffectiveCandidateCache()
-        fallback = EffectiveCandidateCache(columnar=False) if HAVE_NUMPY else None
-        observer = JournalObserver(world)
-        self._assert_in_sync(cache, world, protocol, fallback)
-        for _ in range(30):
-            apply_random_mutation(world, sim, rng)
-            world.check_invariants()
-            observer.check()
-            self._assert_in_sync(cache, world, protocol, fallback)
+
+    @pytest.mark.parametrize("kind,kwargs", SCHEDULER_KINDS)
+    @given(n=st.integers(min_value=3, max_value=6), seed=SEEDS, dimension=DIMENSIONS)
+    @settings(max_examples=4, deadline=None)
+    def test_interleaved_mutations_handler_twin(
+        self, kind, kwargs, n, seed, dimension
+    ):
+        check_interleaved_mutations(
+            gluing_handler_protocol(dimension), kind, kwargs, n, seed
+        )
 
     @given(
-        seed=st.integers(min_value=0, max_value=10_000),
+        seed=SEEDS,
         gap=st.integers(min_value=2, max_value=5),
-        dimension=st.sampled_from((2, 3)),
+        dimension=DIMENSIONS,
     )
     @settings(max_examples=10, deadline=None)
     def test_batched_gaps_fine_equals_coarse(self, seed, gap, dimension):
@@ -257,6 +278,37 @@ class TestRandomizedMutationStress:
             assert got_coarse == want
 
 
+def check_restored_world(protocol, seed):
+    from repro.core.trace import world_from_dict, world_to_dict
+
+    world = World(protocol.dimension)
+    for _ in range(7):
+        world.add_free_node("g")
+    rng = random.Random(seed)
+    sim = Simulation(world, protocol, seed=seed)
+    for _ in range(12):
+        apply_random_mutation(world, sim, rng)
+    snapshot = world_to_dict(world)
+    restored = world_from_dict(snapshot)
+    for comp in restored.components.values():
+        assert comp.version >= 1, "restored component version not bumped"
+    # The round trip is exact — including the allocator counters the
+    # checkpoint replay path depends on for id-stable splits.
+    assert world_to_dict(restored) == snapshot
+    assert restored._next_nid == world._next_nid
+    assert restored._next_cid == world._next_cid
+
+    cache = EffectiveCandidateCache()
+    observer = JournalObserver(restored)
+    sim2 = Simulation(restored, protocol, seed=seed + 1)
+    assert_cache_in_sync(cache, restored, protocol)
+    for _ in range(15):
+        apply_random_mutation(restored, sim2, rng)
+        restored.check_invariants()
+        observer.check()
+        assert_cache_in_sync(cache, restored, protocol)
+
+
 class TestSnapshotRestoreMutation:
     """A restored snapshot is a first-class world for the delta machinery.
 
@@ -267,42 +319,15 @@ class TestSnapshotRestoreMutation:
     and columnar index stay exact under continued random mutation.
     """
 
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        dimension=st.sampled_from((2, 3)),
-    )
+    @given(seed=SEEDS, dimension=DIMENSIONS)
     @settings(max_examples=6, deadline=None)
     def test_restored_world_mutates_exactly(self, seed, dimension):
-        from repro.core.trace import world_from_dict, world_to_dict
+        check_restored_world(gluing_protocol(dimension), seed)
 
-        protocol = gluing_protocol(dimension)
-        world = World(dimension)
-        for _ in range(7):
-            world.add_free_node("g")
-        rng = random.Random(seed)
-        sim = Simulation(world, protocol, seed=seed)
-        for _ in range(12):
-            apply_random_mutation(world, sim, rng)
-        snapshot = world_to_dict(world)
-        restored = world_from_dict(snapshot)
-        for comp in restored.components.values():
-            assert comp.version >= 1, "restored component version not bumped"
-        # The round trip is exact — including the allocator counters the
-        # checkpoint replay path depends on for id-stable splits.
-        assert world_to_dict(restored) == snapshot
-        assert restored._next_nid == world._next_nid
-        assert restored._next_cid == world._next_cid
-
-        cache = EffectiveCandidateCache()
-        fallback = EffectiveCandidateCache(columnar=False) if HAVE_NUMPY else None
-        observer = JournalObserver(restored)
-        sim2 = Simulation(restored, protocol, seed=seed + 1)
-        assert_cache_in_sync(cache, restored, protocol, fallback)
-        for _ in range(15):
-            apply_random_mutation(restored, sim2, rng)
-            restored.check_invariants()
-            observer.check()
-            assert_cache_in_sync(cache, restored, protocol, fallback)
+    @given(seed=SEEDS, dimension=DIMENSIONS)
+    @settings(max_examples=3, deadline=None)
+    def test_restored_world_mutates_exactly_handler_twin(self, seed, dimension):
+        check_restored_world(gluing_handler_protocol(dimension), seed)
 
 
 class TestDeltaRecords:
