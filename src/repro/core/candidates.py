@@ -699,10 +699,9 @@ class EffectiveCandidateCache:
         The population-sized inter axis runs on the batch kernels
         (:meth:`BatchContext.inter_rows`): every gated permissible row is
         one evaluated candidate, deduplicated by identity key, and rows
-        whose group dispatched to ``None`` (possible only for a
-        handler-lowered program, whose hints over-approximate) are then
-        dropped. Intra candidates (at most ``|ports|`` per node) stay
-        scalar.
+        whose update is ``None`` (possible only for a handler-lowered
+        program, whose hints over-approximate) are then dropped. Intra
+        candidates (at most ``|ports|`` per node) stay scalar.
         """
         live = [nid for nid in nids if nid in world.nodes]
         if not live:
@@ -711,24 +710,18 @@ class EffectiveCandidateCache:
         sink: List[tuple] = []
         self._batch.inter_rows(live, sink)
         if sink:
-            keys = np.concatenate([c[0] for c in sink])
-            his = np.concatenate([c[1] for c in sink])
-            los = np.concatenate([c[2] for c in sink])
-            upds = np.empty(len(keys), dtype=object)
-            effective = np.empty(len(keys), dtype=bool)
-            o = 0
-            for c in sink:
-                n = len(c[0])
-                upds[o:o + n].fill(c[3])
-                effective[o:o + n] = c[3] is not None
-                o += n
+            # Column by column, each column's chunks freed once joined: a
+            # rebuild's sink holds every inter row of the world.
+            cols = list(zip(*sink))
+            sink.clear()
+            keys, his, los, upds = [np.concatenate(cols.pop(0)) for _ in range(4)]
             ui = np.unique(keys, return_index=True)[1]
             evals = len(ui)
             self.evaluations += evals
             sched = getattr(evaluate, "__self__", None)
             if sched is not None:
                 sched.evaluations += evals
-            ui = ui[effective[ui]]
+            ui = ui[np.not_equal(upds[ui], None)]
             if len(ui):
                 self._d_new.append(
                     (keys[ui], his[ui], los[ui], upds[ui], np.empty(len(ui), object))
@@ -904,7 +897,6 @@ class EffectiveCandidateCache:
         new_arr = np.fromiter(new_cells, np.int64, count=len(new_cells))
         drop = np.zeros(len(rows), dtype=bool)
         for code in np.unique(codes[clean]).tolist():
-            rot = _col.ROT_BY_CODE[code - 1]
             sel = clean & (codes == code)
             a = sel & first
             if a.any():
@@ -912,10 +904,10 @@ class EffectiveCandidateCache:
                 # with a new cell, pulled back into the partner frame by
                 # the inverse rotation, lands on the partner's occupancy
                 # — which the global tag array answers for every row.
-                inv = rot.inverse()
-                inv_new = _col.rotate_cells(inv, new_arr)
+                inv = _col.INV_CODE[code]
+                inv_new = _col.rotate_by_code(new_arr, inv)
                 inv_t = (
-                    _col.rotate_cells(inv, trans[a] + _col.PACKED_ORIGIN)
+                    _col.rotate_by_code(trans[a] + _col.PACKED_ORIGIN, inv)
                     - _col.PACKED_ORIGIN
                 )
                 probes = (ptag[a] - inv_t)[:, None] + inv_new[None, :]
@@ -928,7 +920,7 @@ class EffectiveCandidateCache:
             if b.any():
                 # Partner hosts: map the new cells into its frame and
                 # probe its occupancy through the tags.
-                rnew = _col.rotate_cells(rot, new_arr)
+                rnew = _col.rotate_by_code(new_arr, code)
                 probes = (ptag[b] + trans[b])[:, None] + rnew[None, :]
                 drop[b] = (
                     _col.in_sorted(probes.reshape(-1), occ_tags)

@@ -13,19 +13,25 @@ the columns, and nothing else can move them.
 On top of the columns, :class:`BatchContext` rewrites the candidate
 layer's three hot kernels as batch operations over whole dirty
 neighborhoods, for every compiled program (exact rule tables and
-handler-lowered :class:`~repro.core.program.MemoProgram` alike):
+handler-lowered :class:`~repro.core.program.MemoProgram` alike). Each
+(dirty component and state, partner state) group is one broadcast over
+every oriented port hint, node pair and alignment rotation:
 
-1. *gate filtering* — the program's hot / pair / oriented-port gates
-   applied once per partner *state* with the survivors gathered as
-   boolean masks over the member arrays, instead of one probe per node;
-2. *occupancy-collision pruning* — singleton-partner placements are
-   resolved by vectorized membership tests against the packed occupancy
-   arrays (and, for the hosting orientation, by one per-rotation probe
-   that covers every partner of a group at once, since the component's
-   placement relative to a single-cell host is fixed within the group);
-3. *transition dispatch* — one ``lookup`` per ``(state pair, port pair)``
-   group serves the whole group; per-candidate dispatch collapses into
-   array arithmetic feeding the scheduler's canonical sort.
+1. *gate filtering* — the program's hot / pair gates applied once per
+   partner *state* with the survivors gathered as boolean masks over the
+   member arrays, instead of one probe per node; the oriented port hints
+   become a hint axis of the broadcast;
+2. *occupancy-collision pruning* — open host slots for every (node,
+   hint) pair in one membership test against the global tagged
+   occupancy; the alignment rotations of every (slot, partner) pair read
+   from a precomputed ``(6, 6, R)`` port-direction table (``R`` = 1 in
+   2D, 4 in 3D) and applied by one code-indexed rotation
+   (:func:`rotate_by_code`); singleton placements need no probe, and
+   multi-cell ones are probed per rotation code in blocks of at most
+   :data:`PROBE_BUDGET` elements;
+3. *transition dispatch* — one ``lookup`` per hint that kept a row serves
+   all of that hint's rows; per-candidate dispatch collapses into array
+   arithmetic feeding the scheduler's canonical sort.
 
 numpy is a required dependency: this is the only candidate backend.
 
@@ -57,11 +63,17 @@ import numpy as np
 from repro.geometry.packed import (
     PACKED_ORIGIN,
     orientation_port_deltas,
+    pack_delta,
     packed_rotations_mapping,
     unpack_delta,
 )
 from repro.geometry.ports import PORTS_3D
-from repro.geometry.rotation import ROTATIONS_2D, ROTATIONS_3D
+from repro.geometry.rotation import (
+    ROTATIONS_2D,
+    ROTATIONS_3D,
+    identity_rotation,
+)
+from repro.geometry.vec import Vec
 from repro.core.world import Candidate
 
 
@@ -395,17 +407,91 @@ def get_index(world) -> ColumnarIndex:
 _CELL_MASK = (1 << 16) - 1
 _CELL_OFF = 1 << 15
 
+#: Packed image of the x, y and z unit vectors under each rotation code
+#: (code 0 = the identity): a rotation is linear, so a rotated packed
+#: cell is ``x * image_x + y * image_y + z * image_z`` plus the origin.
+_AXIS_IMAGES = np.array(
+    [
+        [pack_delta(rot.apply(axis)) for rot in (identity_rotation, *ROT_BY_CODE)]
+        for axis in (Vec(1, 0, 0), Vec(0, 1, 0), Vec(0, 0, 1))
+    ],
+    dtype=np.int64,
+)
+#: Rotation code -> code of its inverse (0 -> 0).
+INV_CODE = np.array(
+    [0] + [ROT_CODE[rot.inverse().matrix] for rot in ROT_BY_CODE],
+    dtype=np.int64,
+)
 
-def rotate_cells(rot, cells):
-    """Apply one grid rotation to an int64 array of packed cells."""
-    m = rot.matrix
+
+def rotate_by_code(cells, codes):
+    """Rotate int64 packed cells, each by the rotation its code names.
+
+    ``cells`` and ``codes`` broadcast against each other, so one call
+    rotates a whole block of placements under mixed rotations; code 0 is
+    the identity.
+    """
+    ix, iy, iz = _AXIS_IMAGES
     x = ((cells >> 32) & _CELL_MASK) - _CELL_OFF
     y = ((cells >> 16) & _CELL_MASK) - _CELL_OFF
     z = (cells & _CELL_MASK) - _CELL_OFF
-    rx = m[0][0] * x + m[0][1] * y + m[0][2] * z + _CELL_OFF
-    ry = m[1][0] * x + m[1][1] * y + m[1][2] * z + _CELL_OFF
-    rz = m[2][0] * x + m[2][1] * y + m[2][2] * z + _CELL_OFF
-    return (rx << 32) | (ry << 16) | rz
+    return x * ix[codes] + y * iy[codes] + z * iz[codes] + PACKED_ORIGIN
+
+
+#: The six grid unit directions as sorted packed deltas, and the world
+#: direction of every ``[orientation_id][port_index]`` as an index into
+#: them.
+_UNIT_DELTAS = np.unique(ORIENT_DELTAS)
+ORIENT_DIRS = np.searchsorted(_UNIT_DELTAS, ORIENT_DELTAS)
+
+
+def _align_table(dimension: int):
+    """``[dir(d2), dir(d1), r]`` -> the codes of the rotations taking
+    direction ``d2`` to ``-d1``, in code order: 1 per pair in 2D, 4 in 3D.
+    Code 0 marks no alignment — in 2D, any pair off the plane, since a 2D
+    world's ports all lie in it."""
+    width = 1 if dimension == 2 else 4
+    table = np.zeros((6, 6, width), dtype=np.int64)
+    deltas = _UNIT_DELTAS.tolist()
+    planar = [unpack_delta(d).z == 0 for d in deltas]
+    for a, d2 in enumerate(deltas):
+        for b, d1 in enumerate(deltas):
+            if dimension == 2 and not (planar[a] and planar[b]):
+                continue
+            rots = packed_rotations_mapping(d2, -d1, dimension)
+            table[a, b, : len(rots)] = [ROT_CODE[rot.matrix] for rot in rots]
+    return table
+
+
+#: The alignment rotations of every port-direction pair, per dimension.
+ALIGN_CODES = {2: _align_table(2), 3: _align_table(3)}
+
+#: Element budget of one block of multi-cell collision probes: bounds the
+#: probe temporaries whatever the component sizes.
+PROBE_BUDGET = 1 << 16
+
+_RANKS = np.array(RANK_OF_INDEX, dtype=np.int64)
+_HINT_COLUMNS: Dict[tuple, tuple] = {}
+
+
+def _hint_columns(hints):
+    """A program's oriented hint tuple as aligned arrays: port indexes
+    ``p1``/``p2`` and the port bits of the identity and sort keys.
+
+    Memoized per hint tuple, like the packed rotation tables: the arrays
+    are a pure function of the tuple, so every world and program may
+    share them.
+    """
+    cols = _HINT_COLUMNS.get(hints)
+    if cols is None:
+        p1 = np.array([a for a, _ in hints], dtype=np.intp)
+        p2 = np.array([b for _, b in hints], dtype=np.intp)
+        r1 = _RANKS[p1]
+        r2 = _RANKS[p2]
+        kbase = (r1 << K_P1_SHIFT) | (r2 << K_P2_SHIFT)
+        hbase = (r1 << H_P1_SHIFT) | (r2 << H_P2_SHIFT)
+        cols = _HINT_COLUMNS[hints] = (p1, p2, kbase, hbase)
+    return cols
 
 
 def in_sorted(values, sorted_arr):
@@ -438,12 +524,11 @@ class BatchContext:
     Built by the candidate cache on every refresh, for a world bound to
     its protocol's compiled program. The program's gates (hot state, pair,
     oriented bond-0 port hints) decide which inter rows are generated, and
-    one ``lookup`` per ``(state pair, port pair)`` group dispatches the
-    whole group. For an exact program the hints are a complete
-    static-effectiveness filter, so every row is effective; a
-    handler-lowered program's hints only over-approximate, so a group's
-    update may be ``None`` — the cache counts those rows as evaluations
-    and then drops them.
+    one ``lookup`` per port-pair hint dispatches every row of that hint.
+    For an exact program the hints are a complete static-effectiveness
+    filter, so every row is effective; a handler-lowered program's hints
+    only over-approximate, so a hint's update may be ``None`` — the cache
+    counts those rows as evaluations and then drops them.
 
     The context carries a *global tagged occupancy*: each component gets a
     dense index (rank of its cid), and every node contributes the tag
@@ -456,12 +541,14 @@ class BatchContext:
     :meth:`inter_rows` emits, for a batch of dirty nodes, exactly the
     gated permissible inter candidates that
     :func:`repro.core.candidates.iter_node_candidates` enumerates — as
-    flat ``(keys, his, los, update)`` array chunks, never materializing
+    flat ``(keys, his, los, updates)`` array chunks, never materializing
     per-candidate Python objects (the store keeps the ints;
     ``candidate_from_row`` rebuilds a :class:`Candidate` only when the
-    scheduler selects one). Intra candidates are not handled here: a node
-    has at most ``|ports|`` of them, and the scalar probe is already
-    minimal.
+    scheduler selects one). Each (dirty component and state, partner
+    state) group is one broadcast over every hint, node pair and
+    alignment rotation (:meth:`_place`). Intra candidates are not handled
+    here: a node has at most ``|ports|`` of them, and the scalar probe is
+    already minimal.
     """
 
     __slots__ = (
@@ -469,8 +556,7 @@ class BatchContext:
         "protocol",
         "program",
         "idx",
-        "dim",
-        "_cids",
+        "align",
         "node_tag",
         "occ_tags",
     )
@@ -480,7 +566,9 @@ class BatchContext:
         self.protocol = protocol
         self.program = program
         self.idx = idx
-        self.dim = world.dimension
+        #: ``[dir(d2), dir(d1)]`` -> alignment rotation codes, this world's
+        #: dimension.
+        self.align = ALIGN_CODES[world.dimension]
         n = world._next_nid
         cid_col = idx.cid[:n]
         cids = np.unique(cid_col)
@@ -489,33 +577,29 @@ class BatchContext:
                 f"{len(cids)} components exceed the occupancy-tag range "
                 f"({MAX_TAG_COMPONENTS})"
             )
-        self._cids = cids
         #: Per-node tag base: dense component index in the high bits.
         self.node_tag = np.searchsorted(cids, cid_col) << CELL_TAG_SHIFT
         #: The global tagged occupancy, sorted.
         self.occ_tags = np.sort(self.node_tag | idx.cell[:n])
-
-    def tag_of_cid(self, cid: int) -> int:
-        """The tag base (dense index bits) of one component id."""
-        return int(np.searchsorted(self._cids, cid)) << CELL_TAG_SHIFT
 
     # ------------------------------------------------------------------
 
     def inter_rows(self, nids, sink) -> None:
         """Emit inter entry rows for a batch of live dirty nodes.
 
-        ``sink`` receives non-empty ``(keys, his, los, update)`` array
-        chunks, ``update`` being the group's ``lookup`` — ``None`` for a
-        handler-lowered group that turned out ineffective. Rows are unique
+        ``sink`` receives non-empty ``(keys, his, los, updates)`` array
+        chunks, ``updates`` holding each row's ``lookup`` — ``None`` for a
+        handler-lowered hint that turned out ineffective. Rows are unique
         within one call except when *both* endpoints of a pair are dirty
         (each side emits it once) — the caller dedups by key, which is
         also how it counts one evaluation per candidate.
 
         Grouping: dirty nodes by component, then by state. The hot /
         pair-can-fire gates run once per state pair (kernel 1); the
-        member-array masks below them replace per-node probes. A group is
-        dispatched only once it has a permissible row, so a handler only
-        ever sees interactions that can actually occur.
+        member-array masks below them replace per-node probes. Partners
+        in components with a larger cid are placed into the dirty
+        component's frame, the others host it (canonical orientation:
+        the smaller cid holds ``nid1``).
         """
         idx = self.idx
         world = self.world
@@ -525,9 +609,7 @@ class BatchContext:
         my_cids = idx.cid[nid_arr]
         for cid in np.unique(my_cids).tolist():
             dn_comp = nid_arr[my_cids == cid]
-            comp = world.components[cid]
-            geom = world.geometry(comp)
-            my_single = len(geom.pos_of) == 1
+            geom = world.geometry(world.components[cid])
             sids = idx.sid[dn_comp]
             for sid in np.unique(sids).tolist():
                 dn = dn_comp[sids == sid]
@@ -550,202 +632,132 @@ class BatchContext:
                     guests = pcids > cid
                     g = members[guests]
                     if len(g):
-                        self._guests(dn, sid, partner_sid, g, geom, sink)
+                        self._place(dn, g, sid, partner_sid, geom, True, sink)
                     h = members[~guests]
                     if len(h):
-                        self._hosts(
-                            dn, sid, partner_sid, h, geom, my_single, sink
-                        )
+                        self._place(h, dn, partner_sid, sid, geom, False, sink)
 
-    # -- guests: partner components with the larger cid are placed into
-    # -- this (dirty) component's frame ---------------------------------
-
-    def _guests(self, dn, sid, partner_sid, members, geom, sink) -> None:
-        idx = self.idx
-        program = self.program
-        dorient = idx.orient[dn]
-        dpos = idx.cell[dn]
-        my_tag = self.node_tag[dn[0]]
-        porient = idx.orient[members]
-        ppos = idx.cell[members]
-        single = idx.csize[members] == 1
-        ptag = self.node_tag[members]
-        occ_tags = self.occ_tags
-        for p1i, p2i in program.oriented_hints(sid, partner_sid):
-            lhs = (sid, p1i, partner_sid, p2i, 0)
-            d1s = ORIENT_DELTAS[dorient, p1i]
-            targets = dpos + d1s
-            open_ = ~in_sorted(my_tag | targets, occ_tags)
-            if not open_.any():
-                continue
-            d2s = ORIENT_DELTAS[porient, p2i]
-            kbase = (
-                (RANK_OF_INDEX[p1i] << K_P1_SHIFT)
-                | (RANK_OF_INDEX[p2i] << K_P2_SHIFT)
-            )
-            hbase = (
-                (RANK_OF_INDEX[p1i] << H_P1_SHIFT)
-                | (RANK_OF_INDEX[p2i] << H_P2_SHIFT)
-            )
-            for d1 in sorted(set(d1s[open_].tolist())):
-                nmask = (d1s == d1) & open_
-                gn = dn[nmask]
-                gt = targets[nmask]
-                for d2 in sorted(set(d2s.tolist())):
-                    pmask = d2s == d2
-                    for rot in packed_rotations_mapping(d2, -d1, self.dim):
-                        code = ROT_CODE[rot.matrix]
-                        # Singletons: the only landing cell is the open
-                        # target — the collision probe vanishes.
-                        ps = pmask & single
-                        if ps.any():
-                            self._emit_guest(
-                                gn, gt, members[ps], ppos[ps], rot, code,
-                                kbase, hbase, lhs, None, None, sink,
-                            )
-                        pm = pmask & ~single
-                        if pm.any():
-                            self._emit_guest(
-                                gn, gt, members[pm], ppos[pm], rot, code,
-                                kbase, hbase, lhs, geom, ptag[pm], sink,
-                            )
-
-    def _emit_guest(
-        self, gn, gt, pj, pjpos, rot, code, kbase, hbase, lhs,
-        geom, ptag, sink,
+    def _place(
+        self, hosts, guests, hsid, gsid, geom, dirty_host, sink
     ) -> None:
-        """One (delta-group, rotation) guest block: ``len(gn) × len(pj)``
-        placements, each dirty node hosting each partner, dispatched on
-        the group's ``lhs`` ``(s1, p1, s2, p2, bond)``.
+        """Every gated permissible placement of a guest node's component
+        into a host node's frame, for one state pair, as one chunk.
 
-        ``geom is None`` marks the singleton fast path (no probe). For
-        multi-cell partners the collision probe runs in the *partner*
-        frame via the inverse rotation: the placement collides iff some
-        host cell, pulled back by ``rot⁻¹`` and the back-rotated
-        translation, lands on the partner's occupancy — which the global
-        tag array answers for every (node, partner) pair in one gather.
+        ``hosts`` (state ``hsid``, the ``nid1`` side) and ``guests``
+        (state ``gsid``) are node arrays; the dirty ones all belong to the
+        component whose geometry is ``geom`` — the hosts when
+        ``dirty_host``, else the guests. Axes of the broadcast: ``P`` open
+        (host node, hint) slots, ``M`` guests, ``R`` alignment rotations.
+
+        * kernel 2, open slots: one membership probe per (host, hint);
+        * alignment: each guest port direction ``d2`` must turn onto the
+          slot's ``-d1`` — the rotation codes come from the ``(6, 6, R)``
+          direction table, the translation from the code-indexed rotation
+          of the guest cell;
+        * kernel 2, collisions: only multi-cell placements can collide
+          (a singleton's one cell lands on the open target), probed per
+          rotation code in blocks (:meth:`_probe`);
+        * kernel 3, dispatch: one ``lookup`` per hint that kept a row —
+          so a handler only sees interactions that can actually occur.
         """
-        # trans[i, j] = target_i - rot(pos_j)
-        trans = gt[:, None] - rotate_cells(rot, pjpos)[None, :]
-        if geom is not None:
-            inv = rot.inverse()
-            inv_occ = geom.rotated_array(inv)
-            inv_t = rotate_cells(inv, trans + PACKED_ORIGIN) - PACKED_ORIGIN
-            probes = (
-                (ptag[None, :, None] - inv_t[:, :, None])
-                + inv_occ[None, None, :]
+        hints = self.program.oriented_hints(hsid, gsid)
+        if not hints:
+            return
+        p1, p2, kbase, hbase = _hint_columns(hints)
+        idx = self.idx
+        horient = idx.orient[hosts]
+        htag = self.node_tag[hosts]
+        targets = (
+            idx.cell[hosts][:, None] + ORIENT_DELTAS[horient[:, None], p1]
+        )
+        slot, hint = np.nonzero(
+            ~in_sorted(htag[:, None] | targets, self.occ_tags)
+        )
+        if not len(slot):
+            return
+        codes = self.align[
+            ORIENT_DIRS[idx.orient[guests], p2[hint][:, None]],
+            ORIENT_DIRS[horient[slot], p1[hint]][:, None],
+        ]
+        # trans[s, j, r] = target_s - rot_r(cell_j): the guest's port cell
+        # lands on the open target.
+        trans = targets[slot, hint][:, None, None] - rotate_by_code(
+            idx.cell[guests][:, None], codes
+        )
+        ok = codes > 0
+        if dirty_host:
+            multi = idx.csize[guests] > 1
+            if multi.any():
+                self._probe(
+                    ok, ok & multi[:, None], codes, trans,
+                    self.node_tag[guests][:, None], geom, pull_back=True,
+                )
+        elif len(geom.pos_of) > 1:
+            self._probe(
+                ok, ok, codes, trans, htag[slot][:, None, None], geom,
+                pull_back=False,
             )
-            hit = (
-                in_sorted(probes.reshape(-1), self.occ_tags)
-                .reshape(probes.shape)
-                .any(axis=2)
-            )
-            if hit.all():
-                return
-            ok = ~hit
-        else:
-            ok = None
+        kept = hint[ok.any(axis=(1, 2))]
+        if not len(kept):
+            return
+        updates = np.empty(len(hints), dtype=object)
+        lookup = self.program.lookup
+        for k in np.unique(kept).tolist():
+            a, b = hints[k]
+            updates[k] = lookup(hsid, a, gsid, b, 0)
+        hn = hosts[slot]
         keys = (
-            (gn << K_NID1_SHIFT)[:, None]
-            + (pj << K_NID2_SHIFT)[None, :]
-            + (kbase | code)
+            ((hn << K_NID1_SHIFT) | kbase[hint])[:, None, None]
+            + (guests << K_NID2_SHIFT)[:, None]
+            + codes
         )
         his = (
-            (gn << H_NID1_SHIFT)[:, None]
-            + (pj << H_NID2_SHIFT)[None, :]
-            + hbase
+            ((hn << H_NID1_SHIFT) | hbase[hint])[:, None]
+            + (guests << H_NID2_SHIFT)
+        )[:, :, None]
+        los = (codes << L_ROT_SHIFT) + trans + PACKED_ORIGIN
+        shape = codes.shape
+        sink.append(
+            (
+                keys[ok],
+                np.broadcast_to(his, shape)[ok],
+                los[ok],
+                np.broadcast_to(updates[hint][:, None, None], shape)[ok],
+            )
         )
-        los = (code << L_ROT_SHIFT) + trans + PACKED_ORIGIN
-        update = self.program.lookup(*lhs)
-        if ok is None:
-            sink.append(
-                (keys.reshape(-1), his.reshape(-1), los.reshape(-1), update)
+
+    def _probe(self, ok, sel, codes, trans, tags, geom, *, pull_back) -> None:
+        """Clear ``ok`` where a selected placement collides.
+
+        The probe runs over the cells of the dirty component (``geom``)
+        against the partner's occupancy, read through its ``tags``
+        (broadcast to the placement axes). With ``pull_back`` the dirty
+        component hosts: a host cell pulled back into the guest frame by
+        the inverse rotation and translation must miss the guest. Otherwise
+        the dirty component is the guest: its rotated, translated cells
+        must miss the host. Probes run per rotation code (one cached
+        rotated-cell array each) in blocks of at most ``PROBE_BUDGET``
+        elements.
+        """
+        at = np.nonzero(sel)
+        code = codes[at]
+        t = trans[at]
+        base = np.broadcast_to(tags, sel.shape)[at]
+        if pull_back:
+            code = INV_CODE[code]
+            base = base - (
+                rotate_by_code(t + PACKED_ORIGIN, code) - PACKED_ORIGIN
             )
         else:
-            sink.append((keys[ok], his[ok], los[ok], update))
-
-    # -- hosts: partner components with the smaller cid host, and this
-    # -- (dirty) component is placed into their frames ------------------
-
-    def _hosts(
-        self, dn, sid, partner_sid, members, geom, my_single, sink
-    ) -> None:
-        idx = self.idx
-        program = self.program
-        dorient = idx.orient[dn]
-        dpos = idx.cell[dn]
-        porient = idx.orient[members]
-        pcell = idx.cell[members]
-        ptag = self.node_tag[members]
+            base = base + t
+        hit = np.zeros(len(base), dtype=bool)
         occ_tags = self.occ_tags
-        for p1i, p2i in program.oriented_hints(partner_sid, sid):
-            d1s = ORIENT_DELTAS[porient, p1i]
-            gtargets = pcell + d1s
-            open_ = ~in_sorted(ptag | gtargets, occ_tags)
-            if not open_.any():
-                continue
-            d2s = ORIENT_DELTAS[dorient, p2i]
-            kbase = (
-                (RANK_OF_INDEX[p1i] << K_P1_SHIFT)
-                | (RANK_OF_INDEX[p2i] << K_P2_SHIFT)
-            )
-            hbase = (
-                (RANK_OF_INDEX[p1i] << H_P1_SHIFT)
-                | (RANK_OF_INDEX[p2i] << H_P2_SHIFT)
-            )
-            for d1 in sorted(set(d1s[open_].tolist())):
-                pmask = (d1s == d1) & open_
-                pj = members[pmask]
-                gt = gtargets[pmask]
-                ptag_g = ptag[pmask]
-                for d2 in sorted(set(d2s.tolist())):
-                    nmask = d2s == d2
-                    gn = dn[nmask]
-                    for rot in packed_rotations_mapping(d2, -d1, self.dim):
-                        code = ROT_CODE[rot.matrix]
-                        rpos = rotate_cells(rot, dpos[nmask])
-                        # trans[j, i] = target_j - rot(pos_i)
-                        trans = gt[:, None] - rpos[None, :]
-                        if my_single:
-                            # The dirty singleton's only cell lands on the
-                            # open target: no collision possible.
-                            ok = None
-                        else:
-                            rocc = geom.rotated_array(rot)
-                            probes = (
-                                (ptag_g[:, None, None] + trans[:, :, None])
-                                + rocc[None, None, :]
-                            )
-                            hit = (
-                                in_sorted(probes.reshape(-1), occ_tags)
-                                .reshape(probes.shape)
-                                .any(axis=2)
-                            )
-                            if hit.all():
-                                continue
-                            ok = ~hit
-                        keys = (
-                            (pj << K_NID1_SHIFT)[:, None]
-                            + (gn << K_NID2_SHIFT)[None, :]
-                            + (kbase | code)
-                        )
-                        his = (
-                            (pj << H_NID1_SHIFT)[:, None]
-                            + (gn << H_NID2_SHIFT)[None, :]
-                            + hbase
-                        )
-                        los = (code << L_ROT_SHIFT) + trans + PACKED_ORIGIN
-                        update = program.lookup(partner_sid, p1i, sid, p2i, 0)
-                        if ok is None:
-                            sink.append(
-                                (
-                                    keys.reshape(-1),
-                                    his.reshape(-1),
-                                    los.reshape(-1),
-                                    update,
-                                )
-                            )
-                        else:
-                            sink.append(
-                                (keys[ok], his[ok], los[ok], update)
-                            )
+        for c in np.unique(code).tolist():
+            rows = np.flatnonzero(code == c)
+            cells = geom.rotated_array(ROT_BY_CODE[c - 1])
+            step = max(1, PROBE_BUDGET // len(cells))
+            for s in range(0, len(rows), step):
+                block = rows[s:s + step]
+                probes = base[block][:, None] + cells
+                hit[block] = in_sorted(probes, occ_tags).any(axis=1)
+        ok[tuple(a[hit] for a in at)] = False

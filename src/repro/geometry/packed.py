@@ -218,7 +218,6 @@ class ComponentGeometry:
         "_pairs",
         "_rotated",
         "_rotated_occ",
-        "_occ_array",
         "_rotated_arrays",
     )
 
@@ -252,7 +251,6 @@ class ComponentGeometry:
         self._pairs: Tuple[Tuple[int, int], ...] = None  # type: ignore[assignment]
         self._rotated: Dict[Matrix, Tuple[int, ...]] = {}
         self._rotated_occ: Dict[Matrix, FrozenSet[int]] = {}
-        self._occ_array = None
         self._rotated_arrays: Dict[Matrix, object] = {}
 
     def slots(self) -> Tuple[Tuple[int, object], ...]:
@@ -309,21 +307,10 @@ class ComponentGeometry:
             self._rotated_occ[key] = s
         return s
 
-    def occ_array(self):
-        """The occupancy as a sorted int64 numpy array (columnar backend
-        only; cached). ``None`` when numpy is unavailable."""
-        a = self._occ_array
-        if a is None:
-            import numpy as _np
-
-            a = _np.fromiter(self.occ, dtype=_np.int64, count=len(self.occ))
-            a.sort()
-            self._occ_array = a
-        return a
-
     def rotated_array(self, rotation: Rotation):
         """The rotated cells as an int64 numpy array, aligned with
-        :meth:`rotated` (columnar backend only; cached per rotation)."""
+        :meth:`rotated` (the columnar collision probes; cached per
+        rotation)."""
         key = rotation.matrix
         a = self._rotated_arrays.get(key)
         if a is None:

@@ -5,8 +5,10 @@ Pins the invariants the batch kernels rest on:
 * the packed ``(hi, lo)`` sort key is strictly order-isomorphic to the
   historical tuple ``candidate_sort_key`` (hypothesis, mixed 2D/3D);
 * ``(key, hi, lo)`` rows round-trip to the exact ``Candidate``;
-* ``rotate_cells`` / ``in_sorted`` agree with their scalar definitions;
+* ``rotate_by_code`` / ``in_sorted`` agree with their scalar definitions;
 * ``ColumnarIndex`` stays coherent with the dict world through merges;
+* the batch kernel emits exactly the oracle's inter candidates, and
+  dispatches a handler only on LHSs that have a permissible row;
 * a world beyond the occupancy-tag range fails loudly instead of running
   on a second store.
 
@@ -14,6 +16,8 @@ The randomized world-mutation stress harness in
 ``tests/test_world_deltas.py`` drives the same assertions through
 splits, surgery and moves; this module is the deterministic pinning.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,9 +27,11 @@ from hypothesis import strategies as st
 from repro.core import columnar
 from repro.core.candidates import (
     EffectiveCandidateCache,
+    bound_program,
     candidate_sort_key,
+    iter_node_candidates,
 )
-from repro.core.protocol import Rule, RuleProtocol
+from repro.core.protocol import AgentProtocol, Rule, RuleProtocol
 from repro.core.scheduler import evaluate
 from repro.core.simulator import Simulation
 from repro.core.world import Candidate, World
@@ -113,13 +119,36 @@ class TestArrayKernels:
         cells = np.fromiter(
             (pack(Vec(*p)) for p in points), np.int64, count=len(points)
         )
-        got = columnar.rotate_cells(rot, cells)
+        got = columnar.rotate_by_code(cells, columnar.ROT_CODE[rot.matrix])
         want = [pack(rot.apply(Vec(*p))) for p in points]
         assert got.tolist() == want
         # unpack agreement, not just packed equality
         assert [unpack(int(c)) for c in got] == [
             rot.apply(Vec(*p)) for p in points
         ]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(columnar.ROT_BY_CODE)), coords, coords, coords
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rotate_by_code_per_element_codes(self, items):
+        codes = np.array([code for code, *_ in items], dtype=np.int64)
+        points = [Vec(*p) for _, *p in items]
+        cells = np.array([pack(v) for v in points], dtype=np.int64)
+        got = columnar.rotate_by_code(cells, codes)
+        want = [
+            pack(v if code == 0 else columnar.ROT_BY_CODE[code - 1].apply(v))
+            for code, v in zip(codes.tolist(), points)
+        ]
+        assert got.tolist() == want
+        back = columnar.rotate_by_code(got, columnar.INV_CODE[codes])
+        assert back.tolist() == cells.tolist()
 
     @given(
         st.lists(st.integers(-50, 50), max_size=40),
@@ -168,3 +197,108 @@ def test_components_beyond_tag_range_raise(monkeypatch):
         EffectiveCandidateCache().refresh(world, protocol, evaluate)
     monkeypatch.setattr(columnar, "MAX_TAG_COMPONENTS", 5)
     assert len(EffectiveCandidateCache().refresh(world, protocol, evaluate))
+
+
+def gluing_handler_protocol(dimension: int, asked: list) -> AgentProtocol:
+    """The gluing table's handler twin (``port_hints`` is ``None``: every
+    port pair), recording each LHS it is asked about."""
+    table = gluing_protocol(dimension)
+
+    def handler(view):
+        asked.append(
+            (view.state1, view.port1, view.state2, view.port2, view.bond)
+        )
+        return table.handle(view)
+
+    return AgentProtocol(
+        handler, initial_state="g", name="gluing-handler", dimension=dimension
+    )
+
+
+def glued_world(dimension: int, n: int, events: int, seed: int) -> World:
+    """A seeded gluing run cut short: singletons and at least two
+    multi-cell components, so both probe directions of the kernel run.
+
+    One more component holds an ``x`` node (no table rule) with a single
+    open port, so most port pairs of an ``x`` LHS have no permissible row.
+    """
+    protocol = gluing_protocol(dimension)
+    world = World.of_free_nodes(n, protocol, leaders=0)
+    sim = Simulation(world, protocol, seed=seed)
+    for _ in range(events):
+        sim.step()
+    sizes = sorted(comp.size() for comp in world.components.values())
+    assert sizes[0] == 1 and sizes[-2] > 1, sizes
+    around = [Vec(1, 0), Vec(-1, 0), Vec(0, 1)]
+    if dimension == 3:
+        around += [Vec(0, 0, 1), Vec(0, 0, -1)]
+    world.add_component_from_cells(
+        {Vec(0, 0): "x", **{v: "g" for v in around}}
+    )
+    return world
+
+
+def kernel_rows(world, protocol, nids):
+    """``{key: (key, hi, lo, update)}`` of one ``inter_rows`` call."""
+    program = bound_program(world, protocol)
+    idx = columnar.get_index(world)
+    idx.sync()
+    sink = []
+    columnar.BatchContext(world, protocol, program, idx).inter_rows(nids, sink)
+    rows = {}
+    for chunk in sink:
+        for row in zip(*(col.tolist() for col in chunk)):
+            # A pair with both endpoints dirty is emitted from each side:
+            # identically.
+            assert rows.setdefault(row[0], row) == row
+    return rows
+
+
+def oracle_rows(world, protocol, nids):
+    """``{key: (key, hi, lo)}`` of the oracle's inter candidates."""
+    rows = {}
+    for nid in nids:
+        for cand in iter_node_candidates(world, protocol, nid):
+            if cand.rotation is not None:
+                key = columnar.packed_key(cand)
+                rows[key] = (key, *columnar.packed_sort_key(cand))
+    return rows
+
+
+@pytest.mark.parametrize("budget", [columnar.PROBE_BUDGET, 3])
+@pytest.mark.parametrize(
+    "dimension, n, events, seed", [(2, 16, 9, 4), (3, 14, 8, 2)]
+)
+def test_kernel_rows_match_oracle(
+    dimension, n, events, seed, budget, monkeypatch
+):
+    # A tiny probe budget splits every collision probe into blocks.
+    monkeypatch.setattr(columnar, "PROBE_BUDGET", budget)
+    world = glued_world(dimension, n, events, seed)
+    nodes = sorted(world.nodes)
+    for nids in (nodes, nodes[::3]):
+        asked: list = []
+        twin = gluing_handler_protocol(dimension, asked)
+        for protocol in (gluing_protocol(dimension), twin):
+            want = oracle_rows(world, protocol, nids)
+            got = kernel_rows(world, protocol, nids)
+            assert {key: row[:3] for key, row in got.items()} == want
+            for key, hi, lo, update in got.values():
+                cand = columnar.candidate_from_row(key, hi, lo)
+                assert update == evaluate(protocol, world, cand)
+        # The handler was asked about each LHS with a permissible row, and
+        # only those (the update checks above hit its memo).
+        lhs = set()
+        for row in want.values():
+            cand = columnar.candidate_from_row(*row)
+            lhs.add(
+                (
+                    world.state_of(cand.nid1), cand.port1,
+                    world.state_of(cand.nid2), cand.port2, cand.bond,
+                )
+            )
+        assert lhs and set(asked) == lhs
+    # A singleton partner keeps every alignment of an open slot: R = 4
+    # rotations of one (node, port, node, port) in 3D, one in 2D.
+    per_pair = Counter(hi for _key, hi, _lo in want.values())
+    assert max(per_pair.values()) == (4 if dimension == 3 else 1)
