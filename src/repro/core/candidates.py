@@ -49,7 +49,10 @@ cell sets only through collision probes, so:
   from re-examining the journalled cut frontier, and placements that were
   blocked *only* by departed cells are re-seeded by sliding each multi-cell
   partner's footprint over the vacated cells
-  (:meth:`EffectiveCandidateCache._reseed_vacated`).
+  (:meth:`EffectiveCandidateCache._reseed_vacated`). A partner none of
+  whose states can fire with a state of the shrunk component (the hot and
+  pair gates, asked once per component pair) is skipped before any
+  geometry: every placement it could seed would be statically dead.
 
 Surviving intra/inter entries keep their exact rotation, translation and
 update in both directions; component ids are never reused, so the
@@ -357,6 +360,20 @@ def reference_effective_candidates(
     return effective, permissible
 
 
+def _some_pair_can_fire(
+    program: CompiledProgram, host_sids: List[int], guest_sids: List[int]
+) -> bool:
+    """Whether some (host state, guest state) pair passes the hot and pair
+    gates, asked host first (:class:`~repro.core.program.MemoProgram`
+    answers ``pair_can_fire`` as asked)."""
+    for a in host_sids:
+        hot_a = program.is_hot_id(a)
+        for b in guest_sids:
+            if (hot_a or program.is_hot_id(b)) and program.pair_can_fire(a, b):
+                return True
+    return False
+
+
 class EffectiveCandidateCache:
     """Incrementally maintained canonical effective-candidate list.
 
@@ -377,8 +394,9 @@ class EffectiveCandidateCache:
       every surviving entry is kept verbatim, the departed fragment's nodes
       and the journalled cut frontier are re-examined, and placements that
       were blocked only by vacated cells are re-seeded against multi-cell
-      partners (see the "occupancy duality" section of the module
-      docstring);
+      partners — except partners that no state pair can fire with, which
+      are skipped before any geometry (see the "occupancy duality" section
+      of the module docstring);
     * intra-component *moves* (hybrid leaf rotations): the vacated half is
       treated as a split, the occupied half as a merge, and the swung
       node(s) re-examined;
@@ -1098,24 +1116,32 @@ class EffectiveCandidateCache:
         A placement that was impermissible before the shrinkage and is
         permissible after it must have had *all* its collisions on
         now-vacated cells — so every such placement lands a cell of one
-        side on a vacated cell. Three partner classes:
+        side on a vacated cell. Four partner classes:
 
         * singleton partners need no work here: their only landing cell is
           the target slot, so a new candidate's kept-side anchor is
           grid-adjacent to a vacated cell — a frontier node, already
           dirty;
-        * multi-cell partners with a clean version trail are re-seeded by
-          sliding their footprint over the vacated cells (both canonical
-          orientations, depending on which side's frame hosts the
-          placement) and verifying each seeded placement against the
-          *current* occupancy;
         * partners whose trail is mid-flux in the same gap (pending
           records) are folded into the dirty set wholesale — their full
-          regeneration covers every pair with the kept component.
+          regeneration covers every pair with the kept component;
+        * multi-cell partners that no state pair can fire with are
+          skipped before any geometry: unless some (host state, guest
+          state) pair of the two components' current members passes the
+          hot and pair gates — asked host first, as
+          :meth:`_insert_reseeded` asks them — every seeded placement
+          would be rejected there without an evaluation;
+        * the remaining multi-cell partners are re-seeded by sliding their
+          footprint over the vacated cells (both canonical orientations,
+          depending on which side's frame hosts the placement) and
+          verifying each seeded placement against the *current*
+          occupancy.
         """
         if not vacated:
             return
-        g_kept = world.geometry(comp)
+        program = protocol.program
+        nodes = world.nodes
+        kept_sids = sorted({nodes[nid].sid for nid in comp.cells.values()})
         for tcid in sorted(self._comp_versions):
             if tcid == kept_cid:
                 continue
@@ -1131,8 +1157,16 @@ class EffectiveCandidateCache:
             members = self._comp_members.get(tcid, ())
             if members and all(nid in dirty for nid in members):
                 continue  # full regeneration already covers this pair
+            t_sids = sorted({nodes[nid].sid for nid in tcomp.cells.values()})
+            kept_hosts = kept_cid < tcid
+            host, guest = (
+                (kept_sids, t_sids) if kept_hosts else (t_sids, kept_sids)
+            )
+            if not _some_pair_can_fire(program, host, guest):
+                continue  # every seed would fail the static gates
+            g_kept = world.geometry(comp)
             g_t = world.geometry(tcomp)
-            if kept_cid < tcid:
+            if kept_hosts:
                 self._reseed_as_host(
                     world, protocol, evaluate, g_kept, g_t, vacated, dirty
                 )

@@ -166,6 +166,12 @@ class FaultySimulation:
     def events(self) -> int:
         return self._sim.events
 
+    @property
+    def evaluations(self) -> Optional[int]:
+        """Protocol-delta evaluations of the inner simulation's scheduler
+        (see :attr:`Simulation.evaluations`)."""
+        return self._sim.evaluations
+
     def _trace_writer(self):
         """The attached streaming trace writer, if a recording is active.
 

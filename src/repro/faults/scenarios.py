@@ -76,6 +76,7 @@ def _run_faulty_line(
             "components": len(world.components),
         },
         events=result.events,
+        evaluations=sim.evaluations,
         stop_reason=result.reason,
         renders={"line": render_world(world, state_char=lambda s: "#")},
     )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.protocol import Rule, RuleProtocol
 from repro.core.world import World
 from repro.errors import ReproError, SimulationError
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.faults.injection import (
     FaultySimulation,
     break_random_bond,
@@ -178,6 +179,18 @@ class TestFaultySimulation:
         assert sim.largest_component_size() == 1
         sim.run(max_steps=10_000)
         assert sim.largest_component_size() == 5
+
+    @pytest.mark.parametrize(
+        "n,events,evaluations", [(16, 15, 480), (24, 23, 1_104)]
+    )
+    def test_registry_run_reports_pinned_events_and_evaluations(
+        self, n, events, evaluations
+    ):
+        # The seeded trajectory and the candidate cache's evaluation count
+        # of the faulty-line scenario, carried on its result.
+        result = run_experiment(ExperimentSpec("faulty-line", {"n": n}, seed=7))
+        assert result.events == events
+        assert result.evaluations == evaluations
 
     def test_invariants_hold_under_heavy_breakage(self):
         protocol = spanning_line_protocol()

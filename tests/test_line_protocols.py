@@ -2,16 +2,34 @@
 
 import pytest
 
+from repro.core.scheduler import make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.world import World
 from repro.protocols.line import simple_line_protocol, spanning_line_protocol
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 10, 15])
-def test_spanning_line_stabilizes_to_a_line(n):
+def under_both_schedulers(values):
+    """Each value under the uniform ``hot`` scheduler (keeping its plain
+    test id) and under the deterministic fair ``round-robin`` adversary.
+
+    The analyzer proves these protocols stabilize independently of the
+    scheduler, so the fair adversary must reach the same shape."""
+    return [pytest.param(v, "hot", id=str(v)) for v in values] + [
+        pytest.param(v, "round-robin", id=f"{v}-round-robin") for v in values
+    ]
+
+
+@pytest.mark.parametrize("n,scheduler", under_both_schedulers([2, 3, 6, 10, 15]))
+def test_spanning_line_stabilizes_to_a_line(n, scheduler):
     protocol = spanning_line_protocol()
     world = World.of_free_nodes(n, protocol, leaders=1)
-    sim = Simulation(world, protocol, seed=n * 7 + 1, check_invariants=True)
+    sim = Simulation(
+        world,
+        protocol,
+        scheduler=make_scheduler(scheduler),
+        seed=n * 7 + 1,
+        check_invariants=True,
+    )
     res = sim.run_to_stabilization(max_events=100_000)
     assert res.events == n - 1  # exactly one effective interaction per node
     assert len(world.components) == 1

@@ -4,10 +4,22 @@ import math
 
 import pytest
 
+from repro.core.scheduler import make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.world import World
 from repro.protocols.square import square_protocol
 from repro.protocols.square2 import square2_protocol
+
+
+def under_both_schedulers(values):
+    """Each value under the uniform ``hot`` scheduler (keeping its plain
+    test id) and under the deterministic fair ``round-robin`` adversary.
+
+    The analyzer proves these protocols stabilize independently of the
+    scheduler, so the fair adversary must reach the same shape."""
+    return [pytest.param(v, "hot", id=str(v)) for v in values] + [
+        pytest.param(v, "round-robin", id=f"{v}-round-robin") for v in values
+    ]
 
 
 def _single_component_shape(world):
@@ -15,11 +27,17 @@ def _single_component_shape(world):
     return world.component_shape(next(iter(world.components)))
 
 
-@pytest.mark.parametrize("n", [4, 9, 16, 25])
-def test_protocol1_builds_spanning_square(n):
+@pytest.mark.parametrize("n,scheduler", under_both_schedulers([4, 9, 16, 25]))
+def test_protocol1_builds_spanning_square(n, scheduler):
     protocol = square_protocol()
     world = World.of_free_nodes(n, protocol, leaders=1)
-    sim = Simulation(world, protocol, seed=n, check_invariants=True)
+    sim = Simulation(
+        world,
+        protocol,
+        scheduler=make_scheduler(scheduler),
+        seed=n,
+        check_invariants=True,
+    )
     sim.run_to_stabilization(max_events=100_000)
     shape = _single_component_shape(world)
     d = math.isqrt(n)
@@ -42,15 +60,21 @@ def test_protocol1_spiral_is_deterministic_in_shape():
     assert len(shapes) == 1
 
 
-@pytest.mark.parametrize("phase", [1, 2, 3])
-def test_protocol2_phases_match_figure_2(phase):
+@pytest.mark.parametrize("phase,scheduler", under_both_schedulers([1, 2, 3]))
+def test_protocol2_phases_match_figure_2(phase, scheduler):
     """With n = 4 p^2 + 4 nodes Square2 stabilizes to the (2p)x(2p) square
     plus the 4 protruding next-phase marks."""
     n = 4 * phase * phase + 4
     side = 2 * phase
     protocol = square2_protocol()
     world = World.of_free_nodes(n, protocol, leaders=1)
-    sim = Simulation(world, protocol, seed=n * 3 + 1, check_invariants=True)
+    sim = Simulation(
+        world,
+        protocol,
+        scheduler=make_scheduler(scheduler),
+        seed=n * 3 + 1,
+        check_invariants=True,
+    )
     sim.run_to_stabilization(max_events=100_000)
     shape = _single_component_shape(world)
     cells = {(c.x, c.y) for c in shape.cells}

@@ -46,12 +46,17 @@ from repro.core.scheduler import evaluate, make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.world import World
 from repro.errors import ReproError
-from repro.faults.injection import break_random_bond, excise_random_node
+from repro.faults.injection import (
+    break_bond,
+    break_random_bond,
+    excise_random_node,
+)
 from repro.faults.repair import detach_component_part
 from repro.core import columnar
 from repro.geometry.ports import PORTS_2D, PORTS_3D, opposite
 from repro.geometry.vec import Vec
 from repro.hybrid.movement import rotate_leaf
+from repro.protocols.line import spanning_line_protocol
 
 SCHEDULER_KINDS = (
     ("enumerate", {}),
@@ -439,6 +444,20 @@ class TestDeltaRecords:
         assert cache.full_rebuilds >= rebuilds
 
 
+def count_reseeds(cache, monkeypatch):
+    """Record each call of the cache's two re-seed geometry passes."""
+    calls = []
+    for name in ("_reseed_as_host", "_reseed_as_guest"):
+        method = getattr(cache, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(cache, name, counted)
+    return calls
+
+
 class TestFinePathEffectiveness:
     """The delta path must actually prune: fewer evaluations, no rebuilds."""
 
@@ -501,3 +520,91 @@ class TestFinePathEffectiveness:
         # duality, observable through object identity.
         surviving = [c for c, _u in got if id(c) in before]
         assert surviving
+
+    def test_split_skips_partners_no_state_pair_can_fire(self, monkeypatch):
+        # A spanning line snapped at several points while the leader keeps
+        # growing: every multi-cell fragment holds only q1 and leader
+        # states, and the one rule is leader x free q0, so no state pair of
+        # a fragment and the shrunk component can fire. The re-seed must
+        # skip such partners before any geometry runs.
+        protocol = spanning_line_protocol()
+        world = World.of_free_nodes(16, protocol, leaders=1)
+        sim = Simulation(world, protocol, seed=0)
+        cache = EffectiveCandidateCache()
+        calls = count_reseeds(cache, monkeypatch)
+
+        def assert_exact():
+            got = cache.refresh(world, protocol, evaluate)
+            want, _perm = reference_effective_candidates(
+                world, protocol, evaluate
+            )
+            assert got == want
+
+        assert_exact()
+        rng = random.Random(0)
+        beside_clean_fragment = 0
+        for _ in range(4):
+            for _ in range(3):
+                assert sim.step() is not None
+                assert_exact()
+            q1_fragments = {
+                cid: comp.size()
+                for cid, comp in world.components.items()
+                if comp.size() >= 2
+                and all(world.state_of(n) == "q1" for n in comp.cells.values())
+            }
+            splits = cache.split_prunes
+            assert break_random_bond(world, rng) is not None
+            assert_exact()
+            assert cache.split_prunes > splits
+            beside_clean_fragment += any(
+                cid in world.components and world.components[cid].size() == size
+                for cid, size in q1_fragments.items()
+            )
+        assert beside_clean_fragment >= 1
+        assert calls == []
+
+    @pytest.mark.parametrize("partner_first", (False, True))
+    def test_split_reseeds_partner_with_a_firing_pair(
+        self, monkeypatch, partner_first
+    ):
+        # A clean multi-cell partner holding one g among dead nodes: the
+        # (g, g) pair can fire, so the gate lets the partner through and
+        # the geometry runs, in whichever frame hosts the placement. The
+        # partner's L footprint, unrotated, puts its g above the line's
+        # first node and its foot on the line's third cell: that placement
+        # is blocked only by the cell the split vacates, and neither
+        # endpoint is dirty, so only the re-seed can find it.
+        protocol = gluing_protocol()
+        world = World(2)
+
+        def add_partner():
+            foot = (Vec(1, 1), Vec(2, 1), Vec(2, 0))
+            cells = world.add_component_from_cells(
+                {cell: "g" for cell in (Vec(0, 1),) + foot}
+            )
+            for cell in foot:
+                world.set_state(cells[cell], "dead")
+
+        if partner_first:
+            add_partner()
+        line = world.add_component_from_cells(
+            {Vec(x, 0): "g" for x in range(4)}
+        )
+        if not partner_first:
+            add_partner()
+        world.add_free_node("g")
+        cache = EffectiveCandidateCache()
+        calls = count_reseeds(cache, monkeypatch)
+        cache.refresh(world, protocol, evaluate)
+        middle = {line[Vec(1, 0)], line[Vec(2, 0)]}
+        comp = world.component_of(line[Vec(1, 0)])
+        (bond,) = [b for b in comp.bonds if {n for n, _p in b} == middle]
+        break_bond(world, bond)
+        got = cache.refresh(world, protocol, evaluate)
+        want, _perm = reference_effective_candidates(world, protocol, evaluate)
+        assert got == want
+        assert cache.split_prunes == 1
+        assert calls == [
+            "_reseed_as_guest" if partner_first else "_reseed_as_host"
+        ]
