@@ -23,10 +23,15 @@ canonically ordered list:
   movement still falls back to a coarse per-component sweep.
 
 The first two are the pure-Python oracles. The cache is the one store
-the schedulers run on: its entries live as ``(hi, lo)``-sorted int64
-columns, regenerated by the columnar batch kernels
-(:class:`repro.core.columnar.BatchContext`) for every compiled program —
-exact rule tables and handler-lowered ones alike. All three forms gate
+the schedulers run on: it keeps each entry as nothing but its canonical
+``(hi, lo)`` sort key, in two sorted int64 columns regenerated by the
+columnar batch kernels (:class:`repro.core.columnar.BatchContext`) for
+every compiled program — exact rule tables and handler-lowered ones
+alike. The rest of an entry is a function of those two ints and the
+current world, derived on read: the identity key
+(:func:`repro.core.columnar.key_from_sort_key`), the candidate
+(:func:`repro.core.columnar.candidate_from_row`) and the update (one
+``program.lookup`` on the endpoints' current states). All three forms gate
 candidates through the same program questions (hot state, pair, oriented
 port hints, ``can_fire``; see :mod:`repro.core.program`) on a world bound
 to the program's state space (:func:`bound_program`).
@@ -54,10 +59,10 @@ cell sets only through collision probes, so:
   pair gates, asked once per component pair) is skipped before any
   geometry: every placement it could seed would be statically dead.
 
-Surviving intra/inter entries keep their exact rotation, translation and
-update in both directions; component ids are never reused, so the
-canonical orientation of a surviving entry is stable across any number of
-splits and merges.
+Surviving intra/inter entries keep their exact sort key — rotation and
+translation included — in both directions; component ids are never
+reused, so the canonical orientation of a surviving entry is stable
+across any number of splits and merges.
 
 Canonical form
 --------------
@@ -110,8 +115,9 @@ import numpy as np
 from repro.core import columnar as _col
 from repro.core.columnar import (
     BatchContext,
+    candidate_from_row,
     get_index,
-    key_is_inter,
+    key_from_sort_key,
     key_nid1,
     key_nid2,
     packed_key,
@@ -410,11 +416,13 @@ class EffectiveCandidateCache:
     state space), the cache falls back to a full rebuild / coarse sweep —
     never to a stale answer.
 
-    The store: entries live *only* as aligned int64 columns in canonical
-    ``(hi, lo)`` order — identity key, sort-key halves, update — plus a
-    lazy entry column materialized per selected candidate. Invalidation,
-    pruning, and the canonical merge all run as array ops, and a refresh
-    hands out a :class:`_DenseView` over the columns.
+    The store: two int64 columns, the canonical sort-key halves ``hi``
+    and ``lo``, kept in ``(hi, lo)`` order. Identity key, candidate and
+    update are derived from a row on read (see the module docstring), and
+    endpoint membership — in invalidation and in the merge prune — is a
+    boolean mask over node ids gathered at each row's ``nid1``/``nid2``.
+    Invalidation, pruning, and the canonical merge all run as array ops,
+    and a refresh hands out a :class:`_DenseView` over the columns.
 
     ``split_delta=False`` disables the fine path for split and move
     records (they fall through to the coarse version sweep, the pre-delta
@@ -432,12 +440,10 @@ class EffectiveCandidateCache:
         self._comp_versions: Dict[int, int] = {}
         self._comp_members: Dict[int, Tuple[int, ...]] = {}
         self._sorted: Optional[_DenseView] = None
-        self._d_id = None
+        #: The store: canonical sort-key halves, in ``(hi, lo)`` order.
         self._d_hi = None
         self._d_lo = None
-        self._d_upd = None
-        self._d_ent = None
-        #: Generated-row chunks awaiting the canonical merge.
+        #: Generated ``(his, los)`` chunks awaiting the canonical merge.
         self._d_new: List[tuple] = []
         #: Rows marked dropped but not yet compressed out (one compress
         #: per refresh instead of one per delta record).
@@ -445,9 +451,9 @@ class EffectiveCandidateCache:
         #: Lazy (nid1, nid2, is_inter) columns of the store, shared by
         #: every prune/invalidate pass between structural changes.
         self._d_cols = None
-        #: Re-seeded rows awaiting the merge: ``(key, hi, lo, cand,
-        #: update)`` — kept as Python rows (reseeds are rare) so the
-        #: split/move prune can still probe them individually.
+        #: Re-seeded rows awaiting the merge: ``(key, hi, lo)`` — kept as
+        #: Python rows (reseeds are rare) so the split/move prune can
+        #: still probe them individually.
         self._pending_rows: List[tuple] = []
         self._pending_keys: Set[CandidateKey] = set()
         #: Protocol-delta evaluations performed (the scheduler cost metric
@@ -470,7 +476,9 @@ class EffectiveCandidateCache:
         protocol: Protocol,
         evaluate: Callable[[Protocol, World, Candidate], Optional[Update]],
     ) -> List[Entry]:
-        """The canonical sorted effective list for the current configuration."""
+        """The canonical sorted effective list for the current configuration:
+        a view that derives its entries on read, so it is valid until the
+        world next mutates (see :class:`_DenseView`)."""
         if (
             world is not self._world
             or protocol is not self._protocol
@@ -538,8 +546,7 @@ class EffectiveCandidateCache:
             for cid, comp in world.components.items()
         }
         self.full_rebuilds += 1
-        self._d_id = self._d_hi = self._d_lo = None
-        self._d_upd = self._d_ent = None
+        self._d_hi = self._d_lo = None
         self._d_new = []
         self._d_drop = None
         self._d_cols = None
@@ -569,102 +576,58 @@ class EffectiveCandidateCache:
         (C-level compress + merge) and hand out a lazy sequence view."""
         if self._d_drop is not None:
             # Prunes ran but no node went dirty: apply the deferred drops
-            # before any positional merge below.
+            # before the merge below.
             self._d_compress(~self._d_drop)
             self._d_drop = None
         chunks = self._d_new
-        pend = self._pending_rows
         self._d_new = []
-        if pend:
+        if self._pending_rows:
+            _keys, his, los = zip(*self._pending_rows)
+            chunks.append((np.array(his, np.int64), np.array(los, np.int64)))
             self._pending_rows = []
             self._pending_keys = set()
-            n = len(pend)
-            ids = np.fromiter((r[0] for r in pend), np.int64, count=n)
-            his = np.fromiter((r[1] for r in pend), np.int64, count=n)
-            los = np.fromiter((r[2] for r in pend), np.int64, count=n)
-            upds = np.empty(n, dtype=object)
-            ents = np.empty(n, dtype=object)
-            for j, r in enumerate(pend):
-                upds[j] = r[4]
-                ents[j] = (r[3], r[4])
-            chunks = chunks + [(ids, his, los, upds, ents)]
         if chunks:
-            ids = np.concatenate([c[0] for c in chunks])
-            his = np.concatenate([c[1] for c in chunks])
-            los = np.concatenate([c[2] for c in chunks])
-            upds = np.concatenate([c[3] for c in chunks])
-            ents = np.concatenate([c[4] for c in chunks])
-            order = np.lexsort((los, his))
-            ids, his, los = ids[order], his[order], los[order]
-            upds, ents = upds[order], ents[order]
-            store = self._d_id
-            if (
-                store is None
-                or not len(store)
-                or len(ids) * 4 >= max(64, len(store))
-            ):
-                if store is not None and len(store):
-                    ids = np.concatenate([store, ids])
-                    his = np.concatenate([self._d_hi, his])
-                    los = np.concatenate([self._d_lo, los])
-                    upds = np.concatenate([self._d_upd, upds])
-                    ents = np.concatenate([self._d_ent, ents])
-                    order = np.lexsort((los, his))
-                    ids, his, los = ids[order], his[order], los[order]
-                    upds, ents = upds[order], ents[order]
-                self._d_id, self._d_hi, self._d_lo = ids, his, los
-                self._d_upd, self._d_ent = upds, ents
-            else:
-                d_hi, d_lo = self._d_hi, self._d_lo
-                pos = d_hi.searchsorted(his, side="left")
-                # A tie run starts exactly where the first >= element
-                # equals the incoming hi — one gather finds them all.
-                ties = np.nonzero(
-                    (pos < len(d_hi))
-                    & (d_hi[np.minimum(pos, len(d_hi) - 1)] == his)
-                )[0]
-                for j in ties.tolist():
-                    # Runs of equal ``hi`` (distinct alignments of one
-                    # port pair) are rare and tiny; order them by ``lo``.
-                    p = int(pos[j])
-                    hi, lo = int(his[j]), int(los[j])
-                    while p < len(d_hi) and d_hi[p] == hi and d_lo[p] < lo:
-                        p += 1
-                    pos[j] = p
-                self._d_id = np.insert(self._d_id, pos, ids)
-                self._d_hi = np.insert(self._d_hi, pos, his)
-                self._d_lo = np.insert(self._d_lo, pos, los)
-                self._d_upd = np.insert(self._d_upd, pos, upds)
-                self._d_ent = np.insert(self._d_ent, pos, ents)
+            if self._d_hi is not None:
+                chunks.insert(0, (self._d_hi, self._d_lo))
+            his = np.concatenate([c[0] for c in chunks])
+            los = np.concatenate([c[1] for c in chunks])
+            # Within one configuration a row's identity key is unique and
+            # orders rows exactly as its (hi, lo) sort key does: both keys
+            # lead with (nid1, port1, nid2, port2), after which the bond
+            # is fixed by the endpoints and an inter row's rotation fixes
+            # its translation. The store and the inter chunk are already
+            # sorted runs, which the stable sort merges in linear time.
+            order = key_from_sort_key(his, los).argsort(kind="stable")
+            self._d_hi, self._d_lo = his[order], los[order]
             self._d_cols = None
-        elif self._d_id is None:
-            self._d_id = np.empty(0, dtype=np.int64)
+        elif self._d_hi is None:
             self._d_hi = np.empty(0, dtype=np.int64)
             self._d_lo = np.empty(0, dtype=np.int64)
-            self._d_upd = np.empty(0, dtype=object)
-            self._d_ent = np.empty(0, dtype=object)
         return _DenseView(
-            self._d_id, self._d_hi, self._d_lo, self._d_upd, self._d_ent
+            self._d_hi, self._d_lo, self._world, self._protocol.program
         )
 
     def _d_compress(self, keep) -> None:
-        self._d_id = self._d_id[keep]
         self._d_hi = self._d_hi[keep]
         self._d_lo = self._d_lo[keep]
-        self._d_upd = self._d_upd[keep]
-        self._d_ent = self._d_ent[keep]
         self._d_cols = None
 
     def _d_endpoints(self):
         """The (nid1, nid2, is_inter) columns of the store, memoized."""
         cols = self._d_cols
         if cols is None:
-            ids = self._d_id
-            n1 = ids >> _col.K_NID1_SHIFT
-            n2 = (ids >> _col.K_NID2_SHIFT) & (_col.NID_LIMIT - 1)
-            cols = (n1, n2, (ids & _col.KEY_ROT_MASK) != 0)
+            hi = self._d_hi
+            n1 = hi >> _col.H_NID1_SHIFT
+            n2 = (hi >> _col.H_NID2_SHIFT) & (_col.NID_LIMIT - 1)
+            cols = (n1, n2, self._d_lo != 0)  # an intra row's lo is 0
             self._d_cols = cols
         return cols
+
+    def _node_mask(self, nids) -> np.ndarray:
+        """A boolean mask over node ids, set exactly at ``nids``."""
+        mask = np.zeros(self._world._next_nid, dtype=bool)
+        mask[np.fromiter(nids, np.int64, count=len(nids))] = True
+        return mask
 
     def _d_contains(self, hi: int, lo: int) -> bool:
         """Whether the store holds the row with this exact sort key (the
@@ -683,13 +646,11 @@ class EffectiveCandidateCache:
 
     def _invalidate(self, dirty: Set[int]) -> None:
         """Drop every stored or pending row with a dirty endpoint."""
-        ids = self._d_id
-        if ids is not None and len(ids):
-            dirty_arr = np.fromiter(dirty, np.int64, count=len(dirty))
-            dirty_arr.sort()
+        if self._d_hi is not None and len(self._d_hi):
+            mask = self._node_mask(dirty)
             n1, n2, _inter = self._d_endpoints()
-            hit = _col.in_sorted(n1, dirty_arr)
-            hit |= _col.in_sorted(n2, dirty_arr)
+            hit = mask[n1]
+            hit |= mask[n2]
             if self._d_drop is not None:
                 hit |= self._d_drop
                 self._d_drop = None
@@ -716,10 +677,11 @@ class EffectiveCandidateCache:
 
         The population-sized inter axis runs on the batch kernels
         (:meth:`BatchContext.inter_rows`): every gated permissible row is
-        one evaluated candidate, deduplicated by identity key, and rows
-        whose update is ``None`` (possible only for a handler-lowered
-        program, whose hints over-approximate) are then dropped. Intra
-        candidates (at most ``|ports|`` per node) stay scalar.
+        one evaluated candidate, deduplicated by identity key and counted
+        whether effective or not, and rows flagged ineffective (possible
+        only for a handler-lowered program, whose hints over-approximate)
+        are then dropped. Intra candidates (at most ``|ports|`` per node)
+        stay scalar. Only the ``(hi, lo)`` sort keys are kept.
         """
         live = [nid for nid in nids if nid in world.nodes]
         if not live:
@@ -732,21 +694,21 @@ class EffectiveCandidateCache:
             # rebuild's sink holds every inter row of the world.
             cols = list(zip(*sink))
             sink.clear()
-            keys, his, los, upds = [np.concatenate(cols.pop(0)) for _ in range(4)]
+            keys, his, los, effective = [
+                np.concatenate(cols.pop(0)) for _ in range(4)
+            ]
             ui = np.unique(keys, return_index=True)[1]
             evals = len(ui)
             self.evaluations += evals
             sched = getattr(evaluate, "__self__", None)
             if sched is not None:
                 sched.evaluations += evals
-            ui = ui[np.not_equal(upds[ui], None)]
+            ui = ui[effective[ui]]
             if len(ui):
-                self._d_new.append(
-                    (keys[ui], his[ui], los[ui], upds[ui], np.empty(len(ui), object))
-                )
+                self._d_new.append((his[ui], los[ui]))
                 self._sorted = None
         seen: Set[CandidateKey] = set()
-        irows: List[tuple] = []
+        irows: List[Tuple[int, int]] = []
         for nid in live:
             for cand in iter_intra_candidates(world, protocol, nid):
                 key = candidate_key(cand)
@@ -754,22 +716,13 @@ class EffectiveCandidateCache:
                     continue  # regenerated from the partner this refresh
                 seen.add(key)
                 self.evaluations += 1
-                update = evaluate(protocol, world, cand)
-                if update is None:
-                    continue
-                hi, lo = packed_sort_key(cand)
-                irows.append((key, hi, lo, (cand, update), update))
+                if evaluate(protocol, world, cand) is not None:
+                    irows.append(packed_sort_key(cand))
         if irows:
-            n = len(irows)
-            ids = np.fromiter((r[0] for r in irows), np.int64, count=n)
-            his = np.fromiter((r[1] for r in irows), np.int64, count=n)
-            los = np.fromiter((r[2] for r in irows), np.int64, count=n)
-            upds = np.empty(n, dtype=object)
-            ents = np.empty(n, dtype=object)
-            for j, r in enumerate(irows):
-                ents[j] = r[3]
-                upds[j] = r[4]
-            self._d_new.append((ids, his, los, upds, ents))
+            his, los = zip(*irows)
+            self._d_new.append(
+                (np.array(his, np.int64), np.array(los, np.int64))
+            )
             self._sorted = None
 
     def _sweep_component_versions(self, world: World, dirty: Set[int]) -> None:
@@ -863,14 +816,13 @@ class EffectiveCandidateCache:
         entry, and probes every row's placement with one membership
         gather per rotation code against the global occupancy tags.
         """
-        ids = self._d_id
-        if ids is None or not len(ids) or not survivors or not new_cells:
+        d_hi = self._d_hi
+        if d_hi is None or not len(d_hi) or not survivors or not new_cells:
             return
-        surv = np.fromiter(survivors, np.int64, count=len(survivors))
-        surv.sort()
+        surv = self._node_mask(survivors)
         n1, n2, inter = self._d_endpoints()
-        s1 = _col.in_sorted(n1, surv)
-        m = s1 | _col.in_sorted(n2, surv)
+        s1 = surv[n1]
+        m = s1 | surv[n2]
         m &= inter
         if self._d_drop is not None:
             m &= ~self._d_drop
@@ -878,11 +830,8 @@ class EffectiveCandidateCache:
         if dirty and len(rows):
             # The dirty filter only matters on the selected rows — keep
             # the full-store passes to the survivor masks above.
-            dirty_arr = np.fromiter(dirty, np.int64, count=len(dirty))
-            dirty_arr.sort()
-            ok = ~_col.in_sorted(n1[rows], dirty_arr)
-            ok &= ~_col.in_sorted(n2[rows], dirty_arr)
-            rows = rows[ok]
+            hit = self._node_mask(dirty)
+            rows = rows[~(hit[n1[rows]] | hit[n2[rows]])]
         if not len(rows):
             return
         first = s1[rows]  # survivor is nid1: partner placed in this frame
@@ -908,8 +857,9 @@ class EffectiveCandidateCache:
                 dirty.update(mine[sel].tolist())
         if not clean.any():
             return
-        trans = (self._d_lo[rows] & _col._LO_TRANS_MASK) - _col.PACKED_ORIGIN
-        codes = ids[rows] & _col.KEY_ROT_MASK
+        lo = self._d_lo[rows]
+        trans = (lo & _col._LO_TRANS_MASK) - _col.PACKED_ORIGIN
+        codes = lo >> _col.L_ROT_SHIFT
         ptag = batch.node_tag[partner]
         occ_tags = batch.occ_tags
         new_arr = np.fromiter(new_cells, np.int64, count=len(new_cells))
@@ -949,7 +899,7 @@ class EffectiveCandidateCache:
             # Defer the physical removal: mark the rows and compress once
             # per refresh (in invalidate or finalize), not once per record.
             if self._d_drop is None:
-                self._d_drop = np.zeros(len(ids), dtype=bool)
+                self._d_drop = np.zeros(len(d_hi), dtype=bool)
             self._d_drop[rows[drop]] = True
             self._sorted = None
 
@@ -969,41 +919,39 @@ class EffectiveCandidateCache:
         components = world.components
         kept = []
         for row in self._pending_rows:
-            key, _hi, _lo, cand, _update = row
+            # Re-seeded rows are all inter: rebuild the candidate to probe.
+            cand = candidate_from_row(*row)
             drop = False
-            if key_is_inter(key):
-                if cand.nid1 in sset:
-                    nid, other = cand.nid1, cand.nid2
-                elif cand.nid2 in sset:
-                    nid, other = cand.nid2, cand.nid1
+            if cand.nid1 in sset:
+                nid, other = cand.nid1, cand.nid2
+            elif cand.nid2 in sset:
+                nid, other = cand.nid2, cand.nid1
+            else:
+                nid = None
+            if nid is not None and nid not in dirty and other not in dirty:
+                other_cid = nodes[other].component_id
+                other_comp = components.get(other_cid)
+                if (
+                    other_comp is None
+                    or self._comp_versions.get(other_cid) != other_comp.version
+                ):
+                    dirty.add(nid)
                 else:
-                    nid = None
-                if nid is not None and nid not in dirty and other not in dirty:
-                    other_cid = nodes[other].component_id
-                    other_comp = components.get(other_cid)
-                    if (
-                        other_comp is None
-                        or self._comp_versions.get(other_cid)
-                        != other_comp.version
-                    ):
-                        dirty.add(nid)
+                    g_other = world.geometry(other_comp)
+                    trans = pack_delta(cand.translation)
+                    if cand.nid1 == nid:
+                        drop = any(
+                            (cell + trans) in new_cells
+                            for cell in g_other.rotated(cand.rotation)
+                        )
                     else:
-                        g_other = world.geometry(other_comp)
-                        trans = pack_delta(cand.translation)
-                        if cand.nid1 == nid:
-                            drop = any(
-                                (cell + trans) in new_cells
-                                for cell in g_other.rotated(cand.rotation)
-                            )
-                        else:
-                            rotate = packed_rotation(cand.rotation)
-                            occ = g_other.occ
-                            drop = any(
-                                (rotate(cell) + trans) in occ
-                                for cell in new_cells
-                            )
+                        rotate = packed_rotation(cand.rotation)
+                        occ = g_other.occ
+                        drop = any(
+                            (rotate(cell) + trans) in occ for cell in new_cells
+                        )
             if drop:
-                self._pending_keys.discard(key)
+                self._pending_keys.discard(row[0])
                 self._sorted = None
             else:
                 kept.append(row)
@@ -1360,66 +1308,75 @@ class EffectiveCandidateCache:
         if key in self._pending_keys or self._d_contains(hi, lo):
             return  # already cached (a surviving or re-seeded row)
         self.evaluations += 1
-        update = evaluate(protocol, world, cand)
-        if update is None:
+        if evaluate(protocol, world, cand) is None:
             return
-        self._pending_rows.append((key, hi, lo, cand, update))
+        self._pending_rows.append((key, hi, lo))
         self._pending_keys.add(key)
         self._sorted = None
 
 
 class _DenseView:
-    """Sequence view over the cache's sorted columns.
+    """Sequence view over the cache's sorted ``(hi, lo)`` columns.
 
     The canonical effective list without per-refresh Python
-    materialization: a :class:`~repro.core.world.Candidate` is rebuilt
-    from its int row (:func:`repro.core.columnar.candidate_from_row`)
-    only when accessed — a scheduler selects one entry per event — and
-    memoized in the shared entry column, so rows surviving across events
-    materialize at most once. Supports exactly what the schedulers, the
-    hybrid mover and the equivalence tests use: ``len``, integer/slice
-    indexing, iteration, truthiness, and ``==`` against lists of entries
-    (both orientations — ``list.__eq__`` returns ``NotImplemented`` for
-    a view, so Python falls through to the reflected comparison here).
+    materialization. Entries are derived on read: the
+    :class:`~repro.core.world.Candidate` is rebuilt from its row
+    (:func:`repro.core.columnar.candidate_from_row` of
+    :func:`repro.core.columnar.key_from_sort_key`), and its update is one
+    ``program.lookup`` on the endpoints' *current* states — the same table
+    or memo entry generation fetched, since any state change dirties the
+    row. Reading never counts as an evaluation.
+
+    A view is therefore valid until the next world mutation: every
+    consumer (the four schedulers and the hybrid mover) indexes it before
+    it applies anything. Supports exactly what they and the equivalence
+    tests use: ``len``, integer/slice indexing, iteration, truthiness, and
+    ``==`` against lists of entries (both orientations — ``list.__eq__``
+    returns ``NotImplemented`` for a view, so Python falls through to the
+    reflected comparison here).
     """
 
-    __slots__ = ("_id", "_hi", "_lo", "_upd", "_ent")
+    __slots__ = ("_hi", "_lo", "_world", "_program")
 
-    def __init__(self, ids, his, los, upds, ents) -> None:
-        self._id = ids
+    def __init__(
+        self, his, los, world: World, program: CompiledProgram
+    ) -> None:
         self._hi = his
         self._lo = los
-        self._upd = upds
-        self._ent = ents
+        self._world = world
+        self._program = program
 
-    def _entry(self, i: int):
-        ent = self._ent[i]
-        if ent is None:
-            cand = _col.candidate_from_row(
-                int(self._id[i]), int(self._hi[i]), int(self._lo[i])
-            )
-            ent = (cand, self._upd[i])
-            self._ent[i] = ent
-        return ent
+    def _entry(self, hi: int, lo: int) -> Entry:
+        cand = candidate_from_row(key_from_sort_key(hi, lo), hi, lo)
+        nodes = self._world.nodes
+        update = self._program.lookup(
+            nodes[cand.nid1].sid,
+            PORT_INDEX[cand.port1],
+            nodes[cand.nid2].sid,
+            PORT_INDEX[cand.port2],
+            cand.bond,
+        )
+        return cand, update
 
     def __len__(self) -> int:
-        return len(self._id)
+        return len(self._hi)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._entry(j) for j in range(*i.indices(len(self._id)))]
+            return list(
+                map(self._entry, self._hi[i].tolist(), self._lo[i].tolist())
+            )
         if i < 0:
-            i += len(self._id)
-        if not 0 <= i < len(self._id):
+            i += len(self._hi)
+        if not 0 <= i < len(self._hi):
             raise IndexError(i)
-        return self._entry(i)
+        return self._entry(int(self._hi[i]), int(self._lo[i]))
 
     def __iter__(self):
-        for i in range(len(self._id)):
-            yield self._entry(i)
+        return map(self._entry, self._hi.tolist(), self._lo.tolist())
 
     def __bool__(self) -> bool:
-        return len(self._id) > 0
+        return len(self._hi) > 0
 
     def __eq__(self, other):
         if isinstance(other, _DenseView):

@@ -29,9 +29,11 @@ every oriented port hint, node pair and alignment rotation:
    (:func:`rotate_by_code`); singleton placements need no probe, and
    multi-cell ones are probed per rotation code in blocks of at most
    :data:`PROBE_BUDGET` elements;
-3. *transition dispatch* — one ``lookup`` per hint that kept a row serves
-   all of that hint's rows; per-candidate dispatch collapses into array
-   arithmetic feeding the scheduler's canonical sort.
+3. *transition dispatch* — one ``lookup`` per hint that kept a row
+   decides all of that hint's rows, which carry the answer as one bool
+   "effective" flag each; per-candidate dispatch collapses into array
+   arithmetic feeding the scheduler's canonical sort (the update itself
+   is looked up again only for an entry the scheduler reads).
 
 numpy is a required dependency: this is the only candidate backend.
 
@@ -48,7 +50,11 @@ The candidate layer's identity and sort keys are packed ints, built to be
   port2_rank, bond)``, ``lo`` packs ``(rotation_code, translation)`` —
   each half fitting an int64 so the cache can keep its canonical order in
   sorted numpy arrays and merge per-event deltas in C instead of
-  re-sorting the whole effective list every event.
+  re-sorting the whole effective list in Python every event.
+
+The sort key holds everything the identity key does, in parallel bit
+fields, so the cache stores only ``(hi, lo)`` and derives the identity
+key on read (:func:`key_from_sort_key`).
 
 Port ranks order ports by their string value and rotation codes order
 matrices by their tuple form, exactly as the tuple keys compared.
@@ -159,6 +165,17 @@ def packed_key(cand) -> int:
     )
 
 
+def key_from_sort_key(hi, lo):
+    """The identity key of the candidate a ``(hi, lo)`` sort key encodes.
+
+    ``hi`` lays out ``(nid1, port1_rank, nid2, port2_rank)`` above its
+    bond bit with the same spacing as the identity key lays them out above
+    its rotation code, and ``lo`` leads with that code — so one shift
+    realigns the fields. Works on ints and on int64 arrays alike.
+    """
+    return (hi >> H_P2_SHIFT << K_P2_SHIFT) | (lo >> L_ROT_SHIFT)
+
+
 def key_nid1(key: int) -> int:
     return key >> K_NID1_SHIFT
 
@@ -194,8 +211,8 @@ def candidate_from_row(key: int, hi: int, lo: int) -> Candidate:
     The identity key carries endpoints, ports and the rotation code; the
     sort key carries the bond (``hi`` bit 0) and the packed translation
     (``lo`` low bits). Together they determine the candidate exactly —
-    the dense columnar store keeps only these ints and materializes
-    :class:`~repro.core.world.Candidate` objects on demand.
+    the candidate store keeps only ``(hi, lo)`` and rebuilds
+    :class:`~repro.core.world.Candidate` objects on read.
     """
     nid1 = key >> K_NID1_SHIFT
     p1 = PORT_BY_RANK[(key >> K_P1_SHIFT) & 7]
@@ -524,11 +541,12 @@ class BatchContext:
     Built by the candidate cache on every refresh, for a world bound to
     its protocol's compiled program. The program's gates (hot state, pair,
     oriented bond-0 port hints) decide which inter rows are generated, and
-    one ``lookup`` per port-pair hint dispatches every row of that hint.
-    For an exact program the hints are a complete static-effectiveness
-    filter, so every row is effective; a handler-lowered program's hints
-    only over-approximate, so a hint's update may be ``None`` — the cache
-    counts those rows as evaluations and then drops them.
+    one ``lookup`` per port-pair hint decides whether every row of that
+    hint is effective. For an exact program the hints are a complete
+    static-effectiveness filter, so every row is effective; a
+    handler-lowered program's hints only over-approximate, so a hint's
+    update may be ``None`` — the cache counts those rows as evaluations
+    and then drops them.
 
     The context carries a *global tagged occupancy*: each component gets a
     dense index (rank of its cid), and every node contributes the tag
@@ -541,10 +559,10 @@ class BatchContext:
     :meth:`inter_rows` emits, for a batch of dirty nodes, exactly the
     gated permissible inter candidates that
     :func:`repro.core.candidates.iter_node_candidates` enumerates — as
-    flat ``(keys, his, los, updates)`` array chunks, never materializing
-    per-candidate Python objects (the store keeps the ints;
+    flat ``(keys, his, los, effective)`` array chunks, never materializing
+    per-candidate Python objects (the store keeps ``(hi, lo)``;
     ``candidate_from_row`` rebuilds a :class:`Candidate` only when the
-    scheduler selects one). Each (dirty component and state, partner
+    scheduler reads one). Each (dirty component and state, partner
     state) group is one broadcast over every hint, node pair and
     alignment rotation (:meth:`_place`). Intra candidates are not handled
     here: a node has at most ``|ports|`` of them, and the scalar probe is
@@ -587,8 +605,9 @@ class BatchContext:
     def inter_rows(self, nids, sink) -> None:
         """Emit inter entry rows for a batch of live dirty nodes.
 
-        ``sink`` receives non-empty ``(keys, his, los, updates)`` array
-        chunks, ``updates`` holding each row's ``lookup`` — ``None`` for a
+        ``sink`` receives non-empty ``(keys, his, los, effective)`` array
+        chunks: int64 identity and sort keys, and a bool per row saying
+        whether its ``lookup`` is effective — ``False`` only for a
         handler-lowered hint that turned out ineffective. Rows are unique
         within one call except when *both* endpoints of a pair are dirty
         (each side emits it once) — the caller dedups by key, which is
@@ -658,7 +677,10 @@ class BatchContext:
           (a singleton's one cell lands on the open target), probed per
           rotation code in blocks (:meth:`_probe`);
         * kernel 3, dispatch: one ``lookup`` per hint that kept a row —
-          so a handler only sees interactions that can actually occur.
+          so a handler only sees interactions that can actually occur —
+          whose answer becomes the "effective" flag of the hint's rows.
+
+        The chunk is ``(keys, his, los, effective)``, one entry per row.
         """
         hints = self.program.oriented_hints(hsid, gsid)
         if not hints:
@@ -700,11 +722,11 @@ class BatchContext:
         kept = hint[ok.any(axis=(1, 2))]
         if not len(kept):
             return
-        updates = np.empty(len(hints), dtype=object)
+        effective = np.zeros(len(hints), dtype=bool)
         lookup = self.program.lookup
         for k in np.unique(kept).tolist():
             a, b = hints[k]
-            updates[k] = lookup(hsid, a, gsid, b, 0)
+            effective[k] = lookup(hsid, a, gsid, b, 0) is not None
         hn = hosts[slot]
         keys = (
             ((hn << K_NID1_SHIFT) | kbase[hint])[:, None, None]
@@ -722,7 +744,7 @@ class BatchContext:
                 keys[ok],
                 np.broadcast_to(his, shape)[ok],
                 los[ok],
-                np.broadcast_to(updates[hint][:, None, None], shape)[ok],
+                np.broadcast_to(effective[hint][:, None, None], shape)[ok],
             )
         )
 

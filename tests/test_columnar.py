@@ -4,11 +4,16 @@ Pins the invariants the batch kernels rest on:
 
 * the packed ``(hi, lo)`` sort key is strictly order-isomorphic to the
   historical tuple ``candidate_sort_key`` (hypothesis, mixed 2D/3D);
-* ``(key, hi, lo)`` rows round-trip to the exact ``Candidate``;
+* ``(key, hi, lo)`` rows round-trip to the exact ``Candidate``, and the
+  identity key is recovered from the sort key alone;
 * ``rotate_by_code`` / ``in_sorted`` agree with their scalar definitions;
 * ``ColumnarIndex`` stays coherent with the dict world through merges;
-* the batch kernel emits exactly the oracle's inter candidates, and
-  dispatches a handler only on LHSs that have a permissible row;
+* the batch kernel emits exactly the oracle's inter candidates, flags
+  each one's effectiveness as ``evaluate`` decides it, and dispatches a
+  handler only on LHSs that have a permissible row;
+* the cache's view, which derives each entry from its ``(hi, lo)`` row on
+  read, behaves as the reference list and never evaluates or dispatches
+  anew when read;
 * a world beyond the occupancy-tag range fails loudly instead of running
   on a second store.
 
@@ -30,13 +35,14 @@ from repro.core.candidates import (
     bound_program,
     candidate_sort_key,
     iter_node_candidates,
+    reference_effective_candidates,
 )
 from repro.core.protocol import AgentProtocol, Rule, RuleProtocol
-from repro.core.scheduler import evaluate
+from repro.core.scheduler import HotScheduler, evaluate
 from repro.core.simulator import Simulation
 from repro.core.world import Candidate, World
 from repro.geometry.packed import pack, unpack
-from repro.geometry.ports import PORTS_2D, PORTS_3D, opposite
+from repro.geometry.ports import PORT_INDEX, PORTS_2D, PORTS_3D, opposite
 from repro.geometry.rotation import rotations_for_dimension
 from repro.geometry.vec import Vec
 
@@ -100,6 +106,19 @@ class TestPackedKeys:
         assert columnar.key_nid1(key) == cand.nid1
         assert columnar.key_nid2(key) == cand.nid2
         assert columnar.key_is_inter(key) == (cand.rotation is not None)
+
+    @given(st.lists(candidates(), min_size=1, max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_key_from_sort_key(self, cands):
+        # Mixed 2D/3D rotations, intra and inter, both bonds: the store
+        # keeps only (hi, lo), so a drifted shift constant must fail here.
+        keys = [columnar.packed_key(c) for c in cands]
+        rows = [columnar.packed_sort_key(c) for c in cands]
+        assert [columnar.key_from_sort_key(hi, lo) for hi, lo in rows] == keys
+        his = np.array([hi for hi, _lo in rows], dtype=np.int64)
+        los = np.array([lo for _hi, lo in rows], dtype=np.int64)
+        got = columnar.key_from_sort_key(his, los)
+        assert got.dtype == np.int64 and got.tolist() == keys
 
     def test_key_rejects_out_of_range_ids(self):
         cand = Candidate(columnar.NID_LIMIT, PORTS_2D[0], 1, PORTS_2D[1], 0)
@@ -239,7 +258,7 @@ def glued_world(dimension: int, n: int, events: int, seed: int) -> World:
 
 
 def kernel_rows(world, protocol, nids):
-    """``{key: (key, hi, lo, update)}`` of one ``inter_rows`` call."""
+    """``{key: (key, hi, lo, effective)}`` of one ``inter_rows`` call."""
     program = bound_program(world, protocol)
     idx = columnar.get_index(world)
     idx.sync()
@@ -283,9 +302,15 @@ def test_kernel_rows_match_oracle(
             want = oracle_rows(world, protocol, nids)
             got = kernel_rows(world, protocol, nids)
             assert {key: row[:3] for key, row in got.items()} == want
-            for key, hi, lo, update in got.values():
+            flags = set()
+            for key, hi, lo, effective in got.values():
                 cand = columnar.candidate_from_row(key, hi, lo)
-                assert update == evaluate(protocol, world, cand)
+                update = evaluate(protocol, world, cand)
+                assert effective == (update is not None)
+                flags.add(effective)
+            # Every exact-table row is effective; the handler twin's
+            # all-port hints also emit rows it then finds ineffective.
+            assert flags == ({True, False} if protocol is twin else {True})
         # The handler was asked about each LHS with a permissible row, and
         # only those (the update checks above hit its memo).
         lhs = set()
@@ -302,3 +327,76 @@ def test_kernel_rows_match_oracle(
     # rotations of one (node, port, node, port) in 3D, one in 2D.
     per_pair = Counter(hi for _key, hi, _lo in want.values())
     assert max(per_pair.values()) == (4 if dimension == 3 else 1)
+
+
+GLUED_WORLDS = [(2, 16, 9, 4), (3, 14, 8, 2)]
+
+
+def glued_view(dimension, n, events, seed, handler):
+    """A cache view of a glued world, refreshed through a hot scheduler's
+    counting ``_evaluate``: ``(world, protocol, view, scheduler, cache,
+    asked)``, ``asked`` recording the handler twin's dispatches."""
+    world = glued_world(dimension, n, events, seed)
+    asked: list = []
+    protocol = (
+        gluing_handler_protocol(dimension, asked)
+        if handler
+        else gluing_protocol(dimension)
+    )
+    scheduler = HotScheduler()
+    cache = EffectiveCandidateCache()
+    view = cache.refresh(world, protocol, scheduler._evaluate)
+    return world, protocol, view, scheduler, cache, asked
+
+
+@pytest.mark.parametrize("handler", [False, True])
+@pytest.mark.parametrize("dimension, n, events, seed", GLUED_WORLDS)
+def test_view_behaves_as_reference_list(dimension, n, events, seed, handler):
+    world, protocol, view, _s, _c, _a = glued_view(
+        dimension, n, events, seed, handler
+    )
+    want, _perm = reference_effective_candidates(world, protocol, evaluate)
+    size = len(want)
+    assert size > 4 and len(view) == size
+    assert view and bool(view) is True
+    assert view[-1] == want[-1] and view[-size] == want[0]
+    cuts = (slice(1, 5), slice(None, None, -3), slice(5, 1), slice(-3, None))
+    for cut in cuts:
+        assert view[cut] == want[cut]
+    for past in (size, -size - 1):
+        with pytest.raises(IndexError):
+            view[past]
+    assert list(view) == want and [view[i] for i in range(size)] == want
+    assert view == want and want == view
+    assert view != want[:-1] and want[:-1] != view
+    # A stabilized world hands out an empty, falsy view.
+    lone = World.of_free_nodes(1, protocol, leaders=0)
+    empty = EffectiveCandidateCache().refresh(lone, protocol, evaluate)
+    assert not empty and len(empty) == 0 and list(empty) == [] and empty == []
+
+
+@pytest.mark.parametrize("handler", [False, True])
+@pytest.mark.parametrize("dimension, n, events, seed", GLUED_WORLDS)
+def test_reading_view_never_evaluates(dimension, n, events, seed, handler):
+    world, protocol, view, scheduler, cache, asked = glued_view(
+        dimension, n, events, seed, handler
+    )
+    counted = (scheduler.evaluations, cache.evaluations)
+    dispatched = len(asked)
+    assert counted[0] == counted[1] > 0
+    assert dispatched or not handler
+    program = protocol.program
+    nodes = world.nodes
+    for _ in range(2):
+        entries = list(view) + [view[i] for i in range(len(view))]
+        for cand, update in entries:
+            assert update is not None
+            assert update is program.lookup(
+                nodes[cand.nid1].sid,
+                PORT_INDEX[cand.port1],
+                nodes[cand.nid2].sid,
+                PORT_INDEX[cand.port2],
+                cand.bond,
+            )
+    assert (scheduler.evaluations, cache.evaluations) == counted
+    assert len(asked) == dispatched
