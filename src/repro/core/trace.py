@@ -31,7 +31,7 @@ from repro.core.simulator import Simulation
 from repro.core.world import Candidate, World, bond_of
 from repro.errors import SimulationError
 from repro.geometry.ports import Port
-from repro.geometry.rotation import Rotation
+from repro.geometry.rotation import Rotation, is_grid_rotation
 from repro.geometry.vec import Vec
 
 
@@ -214,7 +214,13 @@ def replay(
 
 
 def world_to_dict(world: World) -> Dict[str, Any]:
-    """Serialize a full configuration (states, geometry, bonds)."""
+    """Serialize a full configuration (states, geometry, bonds).
+
+    Orientation matrices are emitted as the rotations hold them (nested
+    tuples, which JSON encodes like lists), and each bond lists its
+    endpoints in node-id order — a bond joins two distinct nodes, so that
+    order is total.
+    """
     nodes = []
     decode = world.space.states
     for nid, rec in sorted(world.nodes.items()):
@@ -224,13 +230,15 @@ def world_to_dict(world: World) -> Dict[str, Any]:
                 "state": _state_repr(decode[rec.sid]),
                 "component": rec.component_id,
                 "pos": rec.pos.as_tuple(),
-                "orientation": tuple(map(tuple, rec.orientation.matrix)),
+                "orientation": rec.orientation.matrix,
             }
         )
     bonds = []
     for comp in world.components.values():
         for bond in comp.bonds:
-            (a, pa), (b, pb) = sorted(bond, key=lambda e: (e[0], e[1].value))
+            (a, pa), (b, pb) = bond
+            if a > b:
+                a, pa, b, pb = b, pb, a, pa
             bonds.append([a, pa.value, b, pb.value])
     return {
         "dimension": world.dimension,
@@ -261,6 +269,11 @@ def world_from_dict(data: Dict[str, Any]) -> World:
         cid = obj["component"]
         pos = Vec(*obj["pos"])
         orientation = Rotation(tuple(map(tuple, obj["orientation"])))
+        if not is_grid_rotation(orientation, world.dimension):
+            raise SimulationError(
+                f"snapshot node {nid} has orientation {obj['orientation']!r}, "
+                f"not a rotation of the {world.dimension}D grid"
+            )
         state = _state_from_repr(obj["state"])
         sid = world.space.intern(state)
         world.nodes[nid] = NodeRecord(nid, sid, cid, pos, orientation)
@@ -276,7 +289,13 @@ def world_from_dict(data: Dict[str, Any]) -> World:
         max_cid = max(max_cid, cid)
     for a, pa, b, pb in data["bonds"]:
         comp = world.components[world.nodes[a].component_id]
-        comp.bonds.add(bond_of(a, Port(pa), b, Port(pb)))
+        try:
+            bond = bond_of(a, Port(pa), b, Port(pb))
+        except ValueError:
+            raise SimulationError(
+                f"snapshot bond {[a, pa, b, pb]!r} names an unknown port"
+            ) from None
+        comp.bonds.add(bond)
     # A restored component was rebuilt wholesale: bump its version so any
     # consumer keying geometry off (cid, version) — candidate caches, the
     # columnar index's coarse backstop — treats it as changed rather than

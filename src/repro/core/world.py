@@ -141,10 +141,11 @@ class Component:
     (state writes, flips of a single bond) go through the finer-grained
     ``World.note_change`` journal instead.
 
-    ``geom`` is the lazily-built packed-geometry snapshot for the current
-    version (see ``World.geometry``); any holder of a stale snapshot
-    notices through the version key, so direct mutators of ``cells`` /
-    node positions only have to keep bumping ``version``, as before.
+    ``geom`` is the packed-geometry snapshot for the current version, built
+    lazily or handed over by a merge (see ``World.geometry``); any holder
+    of a stale snapshot notices through the version key, so direct
+    mutators of ``cells`` / node positions only have to keep bumping
+    ``version``, as before.
     """
 
     cid: int
@@ -323,9 +324,13 @@ class World:
         """The packed-geometry snapshot of a component, rebuilt lazily when
         ``Component.version`` moves.
 
-        All hot-path geometry — collision checks, open slots, adjacency,
-        rotated cell sets — reads from this snapshot; ``Vec``-typed results
-        are materialized only at the public API boundary.
+        A merge hands over the kept component's grown snapshot at its new
+        version (``ComponentGeometry.grown``), which is returned as is;
+        every other version bump — splits, excisions, moves, surgery,
+        snapshot restores — rebuilds here on the next call. All hot-path
+        geometry — collision checks, open slots, adjacency, rotated cell
+        sets — reads from this snapshot; ``Vec``-typed results are
+        materialized only at the public API boundary.
         """
         g = comp.geom
         if g is None or g.version != comp.version:
@@ -780,6 +785,7 @@ class World:
         occ1 = g1.occ
         new_cells: List[int] = []
         moved: List[int] = []
+        radius = g1.radius
         for nid, rcell in zip(g2.cells.values(), g2.rotated(rot)):
             npacked = rcell + tpacked
             if npacked in occ1:
@@ -788,15 +794,20 @@ class World:
                     f"{unpack(npacked)!r}"
                 )
             rec = self.nodes[nid]
-            rec.pos = unpack(npacked)
+            pos = rec.pos = unpack(npacked)
+            radius = max(radius, abs(pos.x), abs(pos.y), abs(pos.z))
             rec.orientation = rot.compose(rec.orientation)
             rec.component_id = comp1.cid
-            comp1.cells[rec.pos] = nid
+            comp1.cells[pos] = nid
             new_cells.append(npacked)
             moved.append(nid)
         comp1.bonds.update(comp2.bonds)
         comp1.bonds.add(bond_of(cand.nid1, cand.port1, cand.nid2, cand.port2))
         comp1.version += 1
+        # Hand the grown snapshot over: the kept cells are already packed
+        # in g1 and the moved ones just were, so World.geometry need not
+        # re-pack the whole component at the new version.
+        comp1.geom = g1.grown(comp1.version, new_cells, moved, radius)
         del self.components[comp2.cid]
         self._note_delta(
             "merge",

@@ -22,7 +22,9 @@ ints strictly internal to hot loops.
 occupancy ``frozenset`` plus lazily-computed open-slot, adjacent-pair and
 rotated-cell tables. ``World`` snapshots one per component, keyed by
 ``Component.version``, so the tables are computed at most once per geometry
-change (see ``World.geometry``).
+change (see ``World.geometry``); a merge derives the kept component's next
+snapshot from the old one plus the cells it has just packed
+(:meth:`ComponentGeometry.grown`) instead of re-packing every cell.
 
 Coordinates are bounded by :data:`MAX_COORD` (±32766 at the default
 ``BITS``): :func:`pack` rejects cells outside it, and the ``World`` merge
@@ -33,7 +35,7 @@ bit field. Raise :data:`BITS` if a workload ever legitimately exceeds it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.ports import PORT_INDEX, PORTS_3D, port_direction
@@ -199,10 +201,11 @@ POSITIVE_DELTAS = (
 class ComponentGeometry:
     """Packed snapshot of one component's geometry at a fixed version.
 
-    Built once per ``Component.version`` by ``World.geometry``; the open-slot,
-    adjacent-pair and per-rotation rotated-cell tables are computed lazily on
-    first use and shared by every candidate probe until the next geometry
-    change invalidates the snapshot.
+    Built once per ``Component.version`` by ``World.geometry``, or handed
+    over by the merge that produced that version (:meth:`grown`); the
+    open-slot, adjacent-pair and per-rotation rotated-cell tables are
+    computed lazily on first use and shared by every candidate probe until
+    the next geometry change invalidates the snapshot.
     """
 
     __slots__ = (
@@ -222,7 +225,6 @@ class ComponentGeometry:
     )
 
     def __init__(self, comp, nodes: Dict, ports: Tuple, dimension: int) -> None:
-        self.version: int = comp.version
         cells: Dict[int, int] = {}
         pos_of: Dict[int, int] = {}
         radius = 0
@@ -233,6 +235,45 @@ class ComponentGeometry:
             m = max(abs(cell.x), abs(cell.y), abs(cell.z))
             if m > radius:
                 radius = m
+        self._fill(comp.version, cells, pos_of, radius, nodes, ports, dimension)
+
+    def grown(
+        self,
+        version: int,
+        new_cells: Sequence[int],
+        new_nids: Sequence[int],
+        radius: int,
+    ) -> "ComponentGeometry":
+        """The snapshot of this component after a merge added cells.
+
+        ``new_cells`` are the packed cells the merge occupied, in the order
+        ``Component.cells`` received them, ``new_nids`` their nodes, and
+        ``radius`` the Chebyshev radius of the grown cell set. The result
+        equals a fresh build of the grown component at ``version`` — same
+        cell order, occupancy and radius, empty lazy tables — without
+        re-packing the cells this snapshot already holds.
+        """
+        cells = dict(self.cells)
+        cells.update(zip(new_cells, new_nids))
+        pos_of = dict(self.pos_of)
+        pos_of.update(zip(new_nids, new_cells))
+        g = ComponentGeometry.__new__(ComponentGeometry)
+        g._fill(
+            version, cells, pos_of, radius, self._nodes, self._ports, self._dimension
+        )
+        return g
+
+    def _fill(
+        self,
+        version: int,
+        cells: Dict[int, int],
+        pos_of: Dict[int, int],
+        radius: int,
+        nodes: Dict,
+        ports: Tuple,
+        dimension: int,
+    ) -> None:
+        self.version = version
         #: packed cell -> node id
         self.cells = cells
         #: node id -> packed cell

@@ -7,13 +7,15 @@ element of the rotation group of the grid; the world-frame direction of a
 port is the rotation applied to the port's local direction.
 
 Rotations are represented as 3x3 integer matrices (tuples of tuples), which
-makes composition and application exact and hashable.
+makes composition and application exact and hashable. Composition of two
+group members reads a 24x24 table of the 3D group (C4 is a subgroup, so the
+one table serves both dimensions), filled on first use of each pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.vec import Vec
@@ -57,8 +59,22 @@ class Rotation:
         return _mat_apply(self.matrix, v)
 
     def compose(self, other: "Rotation") -> "Rotation":
-        """Return the rotation equivalent to ``other`` followed by ``self``."""
-        return Rotation(_mat_mul(self.matrix, other.matrix))
+        """Return the rotation equivalent to ``other`` followed by ``self``.
+
+        A product of two grid rotations is one lookup in the group's
+        composition table (computed by matrix product the first time the
+        pair is seen); a matrix outside the group is multiplied out and
+        never stored, so the table holds at most 24 x 24 entries.
+        """
+        row = _COMPOSE.get(self.matrix)
+        if row is None:
+            return Rotation(_mat_mul(self.matrix, other.matrix))
+        product = row.get(other.matrix)
+        if product is None:
+            product = Rotation(_mat_mul(self.matrix, other.matrix))
+            if other.matrix in _COMPOSE:
+                row[other.matrix] = product
+        return product
 
     def inverse(self) -> "Rotation":
         """Return the inverse rotation (transpose, as the matrix is orthogonal)."""
@@ -104,6 +120,13 @@ ROTATIONS_2D: Tuple[Rotation, ...] = tuple(
 #: The 24 proper rotations of the cube, used by the 3D model.
 ROTATIONS_3D: Tuple[Rotation, ...] = _generate_group((_ROT_Z, _ROT_X, _ROT_Y))
 
+#: ``Rotation.compose``'s table: ``_COMPOSE[a][b]`` is ``a @ b`` for members
+#: ``a, b`` of ``ROTATIONS_3D``. Every member has a row from import on, so
+#: a row lookup doubles as the membership test; entries fill lazily.
+_COMPOSE: Dict[Matrix, Dict[Matrix, Rotation]] = {
+    r.matrix: {} for r in ROTATIONS_3D
+}
+
 
 def rotations_for_dimension(dimension: int) -> Tuple[Rotation, ...]:
     """Return the rotation group of the model with the given dimension."""
@@ -112,6 +135,22 @@ def rotations_for_dimension(dimension: int) -> Tuple[Rotation, ...]:
     if dimension == 3:
         return ROTATIONS_3D
     raise GeometryError(f"unsupported dimension: {dimension!r}")
+
+
+_GROUP_MATRICES: Dict[int, FrozenSet[Matrix]] = {
+    2: frozenset(r.matrix for r in ROTATIONS_2D),
+    3: frozenset(_COMPOSE),
+}
+
+
+def is_grid_rotation(rotation: Rotation, dimension: int) -> bool:
+    """True iff ``rotation`` is in ``rotations_for_dimension(dimension)``.
+
+    The boundary check of the decoders: a snapshot orientation or a
+    recorded placement must be a member of the model's group before any
+    composition (which assumes members) sees it.
+    """
+    return rotation.matrix in _GROUP_MATRICES[dimension]
 
 
 _MAPPING_CACHE: Dict[Tuple[Vec, Vec, int], Tuple[Rotation, ...]] = {}

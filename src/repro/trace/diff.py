@@ -36,9 +36,20 @@ header's scenario identity to a sink list and diffs against that).
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.trace import _state_repr, world_from_dict
 from repro.errors import TraceError
@@ -165,7 +176,9 @@ class _Side:
     Pulls raw lines lazily, validates each with
     :class:`~repro.trace.reader.TraceValidator`, stashes checkpoints for
     event-count alignment, and maintains the neighborhood window (latest
-    snapshot line + raw lines since) in bounded memory.
+    snapshot line + raw lines since) in bounded memory. A side paired with
+    a ``twin`` reuses the record of a line its twin has already parsed
+    cleanly when its own line is byte-equal (see :meth:`_feed`).
     """
 
     def __init__(self, lines: Iterator[bytes], label: str) -> None:
@@ -174,6 +187,10 @@ class _Side:
         self._exhausted = False
         self.label = label
         self.validator = TraceValidator()
+        self.twin: Optional["_Side"] = None
+        #: ``(raw, record)`` for lines this side parsed that its twin has
+        #: not reached yet, in stream order
+        self._offers: Deque[Tuple[bytes, Dict[str, Any]]] = deque()
         self.header: Optional[Dict[str, Any]] = None
         #: pending checkpoints: event count -> (seq, snapshot_digest, raw)
         self.checkpoints: Dict[int, Tuple[int, Any, bytes]] = {}
@@ -210,12 +227,38 @@ class _Side:
 
     # -- validated pulls -----------------------------------------------
 
+    def _feed(
+        self, line: bytes
+    ) -> Tuple[Optional[Dict[str, Any]], List[str], bool]:
+        """Validate ``line``, decoding it only if the twin has not.
+
+        The side that parses a line first, and finds no error in it,
+        offers ``(raw, record)``; its twin reuses the record — skipping the
+        parse and the line's own digest checks — when its own next line is
+        byte-equal, and otherwise parses the line itself and drops the
+        twin's pending offers (the streams are out of step, e.g. at a
+        checkpoint only one side wrote). Both sides then hold the same
+        record objects, so nothing here may mutate a record.
+        """
+        parsed = None
+        twin = self.twin
+        if twin is not None and twin._offers:
+            raw, offered = twin._offers.popleft()
+            if raw == line:
+                parsed = offered
+            else:
+                twin._offers.clear()
+        record, errors, fatal = self.validator.feed(line, parsed)
+        if parsed is None and twin is not None and record is not None and not errors:
+            self._offers.append((line, record))
+        return record, errors, fatal
+
     def read_header(self) -> _Pull:
         line = self._next_line()
         if line is None:
             return _Pull(defect="premature-end", seq=0, errors=["empty trace"])
         seq = self.validator.seq
-        record, errors, fatal = self.validator.feed(line)
+        record, errors, fatal = self._feed(line)
         if fatal:
             if record is None and self._at_last_line():
                 # A torn header on a one-line stream: truncation, the same
@@ -248,7 +291,7 @@ class _Side:
                     errors=["stream ends without an end anchor"],
                 )
             seq = self.validator.seq
-            record, errors, fatal = self.validator.feed(line)
+            record, errors, fatal = self._feed(line)
             if fatal:
                 if record is None and self._at_last_line():
                     # A torn final line is truncation, not tampering: the
@@ -469,6 +512,7 @@ def diff_traces(
     """
     side_a = _make_side(a, label_a)
     side_b = _make_side(b, label_b)
+    side_a.twin, side_b.twin = side_b, side_a
     events_compared = 0
     checkpoints_compared = 0
 

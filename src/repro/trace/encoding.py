@@ -28,6 +28,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.core.protocol import Update
 from repro.core.trace import _state_from_repr, _state_repr, world_to_dict
 from repro.core.world import Bond, Candidate, World, bond_of
+from repro.errors import TraceError
 from repro.geometry.ports import Port
 from repro.geometry.rotation import Rotation
 from repro.geometry.vec import Vec
@@ -237,6 +238,18 @@ def end_record(events: int, seq: int, chain: str, world: World) -> Dict[str, Any
 # ----------------------------------------------------------------------
 
 
+def _port_from_record(value: Any, record: Mapping[str, Any]) -> Port:
+    """Decode one port of a record; an unknown port is a :class:`TraceError`
+    naming the record, never a bare ``ValueError``."""
+    try:
+        return Port(value)
+    except ValueError:
+        raise TraceError(
+            f"{record.get('kind')} record at index {record.get('index')!r}: "
+            f"unknown port {value!r}"
+        ) from None
+
+
 def candidate_from_record(record: Mapping[str, Any]) -> Candidate:
     """Rebuild the applied candidate of an event record."""
     rotation = None
@@ -247,9 +260,9 @@ def candidate_from_record(record: Mapping[str, Any]) -> Candidate:
         translation = Vec(*record["translation"])
     return Candidate(
         record["nid1"],
-        Port(record["port1"]),
+        _port_from_record(record["port1"], record),
         record["nid2"],
-        Port(record["port2"]),
+        _port_from_record(record["port2"], record),
         record["bond"],
         rotation,
         translation,
@@ -268,7 +281,9 @@ def update_from_record(record: Mapping[str, Any]) -> Update:
 def bond_from_record(record: Mapping[str, Any]) -> Bond:
     """Rebuild the snapped bond of a detach record."""
     (a, pa), (b, pb) = record["bond"]
-    return bond_of(a, Port(pa), b, Port(pb))
+    return bond_of(
+        a, _port_from_record(pa, record), b, _port_from_record(pb, record)
+    )
 
 
 def state_from_record(record: Mapping[str, Any]) -> Any:

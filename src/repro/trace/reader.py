@@ -32,6 +32,27 @@ from repro.trace.encoding import (
 )
 
 
+def _digest_errors(record: Dict[str, Any], kind: str, i: int) -> List[str]:
+    """The checks of a header, checkpoint or end line that depend on the
+    line alone: the digests it embeds, recomputed over its own payload."""
+    if kind == "end":
+        errors: List[str] = []
+        if not isinstance(record.get("world_digest"), str):
+            errors.append(f"line {i}: end record has no world digest")
+        body = {k: v for k, v in record.items() if k != "self_digest"}
+        if payload_digest(body) != record.get("self_digest"):
+            errors.append(f"line {i}: end record self digest mismatch")
+        return errors
+    snapshot = record.get("snapshot")
+    if not isinstance(snapshot, dict):
+        if kind == "header":
+            return ["line 0: header has no snapshot object"]
+        return [f"line {i}: checkpoint has no snapshot"]
+    if payload_digest(snapshot) != record.get("snapshot_digest"):
+        return [f"line {i}: {kind} snapshot digest mismatch"]
+    return []
+
+
 class TraceValidator:
     """Incremental, line-at-a-time trace validation.
 
@@ -63,9 +84,12 @@ class TraceValidator:
     ) -> Tuple[Optional[Dict[str, Any]], List[str], bool]:
         """Validate the next raw line; see the class docstring.
 
-        ``parsed`` lets a caller that already decoded ``raw`` (the diff
-        engine, when both sides carry identical bytes) skip the duplicate
-        ``json.loads`` — it must be the exact decoding of ``raw``.
+        ``parsed`` hands over the record another validator decoded from
+        byte-identical ``raw`` and fed without an error. The diff engine
+        passes it, so an identical line of two traces is decoded once for
+        both. Such a record skips the ``json.loads`` and the checks that
+        depend on the line alone (snapshot and self digests); the stream
+        checks (hash chain, ``seq``, counters) still run.
         """
         i = self.seq
         errors: List[str] = []
@@ -99,11 +123,8 @@ class TraceValidator:
                     ],
                     True,
                 )
-            snapshot = record.get("snapshot")
-            if not isinstance(snapshot, dict):
-                errors.append("line 0: header has no snapshot object")
-            elif payload_digest(snapshot) != record.get("snapshot_digest"):
-                errors.append("line 0: header snapshot digest mismatch")
+            if parsed is None:
+                errors.extend(_digest_errors(record, kind, i))
         elif kind in ("event", "move"):
             if record.get("index") != self.last_index + 1:
                 errors.append(
@@ -131,18 +152,9 @@ class TraceValidator:
                     f"line {i}: {kind} events {record.get('events')!r} "
                     f"(expected {self.events})"
                 )
-            if kind == "checkpoint":
-                snapshot = record.get("snapshot")
-                if not isinstance(snapshot, dict):
-                    errors.append(f"line {i}: checkpoint has no snapshot")
-                elif payload_digest(snapshot) != record.get("snapshot_digest"):
-                    errors.append(f"line {i}: checkpoint snapshot digest mismatch")
-            else:
-                if not isinstance(record.get("world_digest"), str):
-                    errors.append(f"line {i}: end record has no world digest")
-                body = {k: v for k, v in record.items() if k != "self_digest"}
-                if payload_digest(body) != record.get("self_digest"):
-                    errors.append(f"line {i}: end record self digest mismatch")
+            if parsed is None:
+                errors.extend(_digest_errors(record, kind, i))
+            if kind == "end":
                 self.ended = True
         else:
             return (
@@ -158,35 +170,55 @@ class TraceValidator:
         return record, errors, False
 
 
-def validate_trace_bytes(data: bytes) -> List[str]:
-    """Validate one trace's raw bytes; ``[]`` means valid."""
+def _validate_lines(data: bytes) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """Validate one trace's raw bytes; return ``(records, errors)``.
+
+    The one validation pass behind :func:`validate_trace_bytes` and
+    :meth:`TraceReader.load`: ``records`` are the dicts the validator
+    parsed, in stream order, and are complete only when ``errors`` is
+    empty.
+    """
+    records: List[Dict[str, Any]] = []
     errors: List[str] = []
     lines = data.split(b"\n")
     if lines and lines[-1] == b"":
         lines.pop()
     if not lines:
-        return ["empty trace (no header line)"]
+        return records, ["empty trace (no header line)"]
     validator = TraceValidator()
     for raw in lines:
-        _record, errs, fatal = validator.feed(raw)
+        record, errs, fatal = validator.feed(raw)
         errors.extend(errs)
         if fatal:
             break
+        records.append(record)  # type: ignore[arg-type]
     if not errors and not validator.ended:
         errors.append(
             "trace is unfinalized: no end anchor (truncated file, or a "
             "recording that was never finalize()d)"
         )
-    return errors
+    return records, errors
+
+
+def validate_trace_bytes(data: bytes) -> List[str]:
+    """Validate one trace's raw bytes; ``[]`` means valid."""
+    return _validate_lines(data)[1]
+
+
+def _validate_file(
+    path: Union[str, Path],
+) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """:func:`_validate_lines` over one read of a file on disk."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        return [], [f"unreadable ({exc})"]
+    return _validate_lines(data)
 
 
 def validate_trace_file(path: Union[str, Path]) -> List[str]:
     """Validate a trace file on disk; ``[]`` means valid."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        return [f"unreadable ({exc})"]
-    return validate_trace_bytes(data)
+    return _validate_file(path)[1]
 
 
 class TraceReader:
@@ -211,13 +243,17 @@ class TraceReader:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TraceReader":
-        """Validate then parse; raises :class:`TraceError` on any defect."""
-        errors = validate_trace_file(path)
+        """Validate and parse in one pass; raises :class:`TraceError` on any
+        defect.
+
+        The file is read once and every line parsed once: the reader keeps
+        the records its validation pass decoded, and serves none of them
+        unless the whole trace validated.
+        """
+        records, errors = _validate_file(path)
         if errors:
             detail = "; ".join(errors[:4])
             raise TraceError(f"invalid trace {path}: {detail}")
-        lines = Path(path).read_bytes().split(b"\n")
-        records = [json.loads(raw) for raw in lines if raw]
         return cls(records[0], records[1:], records[-1], path)
 
     @classmethod

@@ -29,6 +29,7 @@ from typing import Any, Dict, Optional, Union
 from repro.core.trace import world_from_dict
 from repro.core.world import World
 from repro.errors import TraceError
+from repro.geometry.rotation import is_grid_rotation
 from repro.trace.encoding import (
     bond_from_record,
     candidate_from_record,
@@ -111,8 +112,12 @@ class TraceCursor:
         else:
             raise TraceError(f"unknown record kind {kind!r}")
 
-    def verify_against(self, record: Dict[str, Any], what: str) -> None:
-        """Assert the cursor's world matches a digest-bearing record."""
+    def verify_against(self, record: Dict[str, Any], what: str) -> str:
+        """Assert the cursor's world matches a digest-bearing record.
+
+        Returns the world digest it computed (equal to the recorded one),
+        so a caller that also reports the digest need not recompute it.
+        """
         assert self.world is not None
         expected = record.get("snapshot_digest") or record.get("world_digest")
         actual = world_digest(self.world)
@@ -123,6 +128,7 @@ class TraceCursor:
                 "the run mutated the world outside the traced interaction "
                 "stream, or the trace is inconsistent"
             )
+        return actual
 
     # ------------------------------------------------------------------
 
@@ -133,6 +139,14 @@ class TraceCursor:
             raise TraceError(
                 f"replay event {record['index']}: unknown node ids "
                 f"({cand.nid1}, {cand.nid2})"
+            )
+        if cand.rotation is not None and not is_grid_rotation(
+            cand.rotation, self.world.dimension
+        ):
+            raise TraceError(
+                f"replay event {record['index']}: placement rotation "
+                f"{record['rotation']!r} is not a rotation of the "
+                f"{self.world.dimension}D grid"
             )
         actual_bond = self.world.bond_state(
             cand.nid1, cand.port1, cand.nid2, cand.port2
@@ -230,7 +244,7 @@ def replay_trace(
             )
 
     checkpoints_verified = 0
-    reached_end = False
+    digest: Optional[str] = None  # the final world's, once verified
     for record in trace.records[start_pos:]:
         kind = record.get("kind")
         if kind in ("event", "move") and record["index"] > target:
@@ -242,13 +256,11 @@ def replay_trace(
             continue
         if kind == "end":
             if verify:
-                cursor.verify_against(record, "end record")
-            reached_end = True
+                digest = cursor.verify_against(record, "end record")
             cursor.end = record
             break
         cursor.feed(record)
 
-    del reached_end  # every digest claim encountered was checked above
     assert cursor.world is not None
     return ReplayResult(
         world=cursor.world,
@@ -256,6 +268,6 @@ def replay_trace(
         start_events=start_events,
         records_applied=cursor.applied,
         checkpoints_verified=checkpoints_verified,
-        digest=world_digest(cursor.world),
+        digest=digest if digest is not None else world_digest(cursor.world),
         verified=verify,
     )

@@ -23,6 +23,7 @@ from repro.core.world import Candidate, World
 from repro.faults.injection import break_random_bond
 from repro.geometry.packed import (
     PACKED_ORIGIN,
+    ComponentGeometry,
     pack,
     pack_delta,
     packed_rotation,
@@ -183,9 +184,63 @@ def test_packed_kernel_matches_reference_through_random_runs(
             break_random_bond(world, rng)
             sim.stabilized = False
         stepped = sim.step()
+        _assert_snapshots_match_fresh_builds(world)
         _assert_world_matches_reference(world)
         if stepped is None and rng.random() < 0.5:
             break
+
+
+def _assert_geometry_equal(geom, fresh):
+    assert geom.version == fresh.version
+    assert list(geom.cells.items()) == list(fresh.cells.items())
+    assert list(geom.pos_of.items()) == list(fresh.pos_of.items())
+    assert geom.occ == fresh.occ
+    assert geom.radius == fresh.radius
+    assert geom.slots() == fresh.slots()
+    assert geom.pairs() == fresh.pairs()
+    for rot in rotations_for_dimension(fresh._dimension):
+        assert geom.rotated(rot) == fresh.rotated(rot)
+
+
+def _assert_snapshots_match_fresh_builds(world):
+    """Every component's current snapshot — handed over by the merge that
+    produced its version, or rebuilt — equals a from-scratch build."""
+    for comp in world.components.values():
+        geom = world.geometry(comp)
+        assert geom is comp.geom and geom.version == comp.version
+        fresh = ComponentGeometry(comp, world.nodes, world.ports, world.dimension)
+        _assert_geometry_equal(geom, fresh)
+
+
+def test_merge_hands_over_grown_snapshot(monkeypatch):
+    world = World(2)
+    world.add_component_from_cells({Vec(0, 0): "g", Vec(1, 0): "g"})
+    world.add_free_node("g")
+    for comp in world.components.values():
+        world.geometry(comp)
+    # The free node lands at (2, 0): the merge grows the radius from 1.
+    cand = next(
+        c
+        for c in world.enumerate_candidates()
+        if not c.intra and c.translation == Vec(2, 0)
+    )
+    builds = []
+    init = ComponentGeometry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComponentGeometry, "__init__", counting_init)
+    world.apply(cand, ("g", "g", 1))
+    (kept,) = world.components.values()
+    geom = world.geometry(kept)
+    assert builds == []
+    monkeypatch.undo()
+    assert geom.radius == 2
+    _assert_geometry_equal(
+        geom, ComponentGeometry(kept, world.nodes, world.ports, world.dimension)
+    )
 
 
 def test_packed_kernel_matches_reference_on_seeded_components():

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.rotation import (
+    _COMPOSE,
     ROTATIONS_2D,
     ROTATIONS_3D,
+    Rotation,
+    _mat_mul,
     identity_rotation,
+    is_grid_rotation,
     rotations_for_dimension,
     rotations_mapping,
 )
@@ -45,6 +49,31 @@ def test_dimension_lookup():
 @given(rot3, rot3)
 def test_closure_under_composition(a, b):
     assert a.compose(b) in ROTATIONS_3D
+
+
+def test_composition_table_matches_matrix_product():
+    for a in ROTATIONS_3D:
+        for b in ROTATIONS_3D:
+            assert a.compose(b) == Rotation(_mat_mul(a.matrix, b.matrix))
+
+
+def test_composition_outside_group_is_multiplied_not_stored():
+    stretch = Rotation(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    r = ROTATIONS_3D[5]
+    assert stretch.compose(r) == Rotation(_mat_mul(stretch.matrix, r.matrix))
+    assert r.compose(stretch) == Rotation(_mat_mul(r.matrix, stretch.matrix))
+    assert stretch.matrix not in _COMPOSE
+    assert all(stretch.matrix not in row for row in _COMPOSE.values())
+    assert sum(len(row) for row in _COMPOSE.values()) <= 24 * 24
+
+
+def test_grid_rotation_membership():
+    for r in ROTATIONS_3D:
+        assert is_grid_rotation(r, 3)
+        assert is_grid_rotation(r, 2) == (r in ROTATIONS_2D)
+    stretch = Rotation(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert not is_grid_rotation(stretch, 2)
+    assert not is_grid_rotation(stretch, 3)
 
 
 @given(rot3)

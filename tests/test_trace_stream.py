@@ -13,17 +13,20 @@ just bond state) and the sweep service's ``trace`` streaming mode.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.scheduler import make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.trace import TraceRecorder, world_from_dict, world_to_dict
 from repro.core.world import World
 from repro.errors import SimulationError, TraceError
 from repro.faults.injection import FaultySimulation
+from repro.geometry.vec import Vec
 from repro.protocols.line import spanning_line_protocol
 from repro.trace import (
     TraceReader,
@@ -34,6 +37,14 @@ from repro.trace import (
     validate_trace_bytes,
     world_digest,
 )
+from repro.trace.encoding import (
+    CHAIN_SEED,
+    bond_from_record,
+    chain_advance,
+    encode_line,
+    payload_digest,
+)
+from repro.trace.reader import validate_trace_file
 
 SCHEDULERS = ("hot", "enumerate", "rejection", "round-robin")
 
@@ -502,3 +513,153 @@ class TestReaderEdgeCases:
         assert res.records_applied == 0
         header = TraceReader.load(path).header
         assert res.digest == header["snapshot_digest"]
+
+
+def _rechain(records):
+    """Encode edited records as a trace whose hash chain and digests all
+    check out again — a forgery only the decoders can catch."""
+    chain = CHAIN_SEED
+    out = []
+    for rec in records:
+        rec = dict(rec)
+        if rec["kind"] in ("header", "checkpoint"):
+            rec["snapshot_digest"] = payload_digest(rec["snapshot"])
+        if rec["kind"] in ("checkpoint", "end"):
+            rec["chain"] = chain
+        if rec["kind"] == "end":
+            rec.pop("self_digest")
+            rec["self_digest"] = payload_digest(rec)
+        line = encode_line(rec)
+        out.append(line)
+        chain = chain_advance(chain, line.rstrip(b"\n"))
+    return b"".join(out)
+
+
+class TestDecodersFailClosed:
+    """A re-chained trace with an undecodable record raises TraceError at
+    replay (exit 2 at the CLI), never a bare ValueError or a wrong world."""
+
+    def _forge(self, tmp_path, edit):
+        _world, writer = record_line_run(tmp_path / "run.trace", 8, 3)
+        records = [json.loads(l) for l in writer.path.read_bytes().splitlines()]
+        first_bond = next(
+            r for r in records if r["kind"] == "event" and r["rotation"]
+        )
+        edit(first_bond)
+        forged = tmp_path / "forged.trace"
+        forged.write_bytes(_rechain(records))
+        assert validate_trace_bytes(forged.read_bytes()) == []
+        return forged, first_bond["index"]
+
+    def test_unknown_event_port(self, tmp_path, capsys):
+        forged, index = self._forge(
+            tmp_path, lambda r: r.update(port1="zz")
+        )
+        with pytest.raises(TraceError, match=f"index {index}: unknown port 'zz'"):
+            replay_trace(forged, verify=True)
+        assert main(["replay", str(forged), "--verify"]) == 2
+        assert "repro: error:" in capsys.readouterr().err
+
+    def test_unknown_detach_port(self):
+        record = {"kind": "detach", "index": 4, "bond": [[0, "zz"], [1, "r"]]}
+        with pytest.raises(TraceError, match="detach record at index 4"):
+            bond_from_record(record)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],  # not a rotation at all
+            [[1, 0, 0], [0, 0, -1], [0, 1, 0]],  # a 3D rotation in 2D
+        ],
+    )
+    def test_placement_outside_the_group(self, tmp_path, matrix):
+        forged, index = self._forge(
+            tmp_path, lambda r: r.update(rotation=matrix)
+        )
+        with pytest.raises(TraceError, match=f"event {index}: placement"):
+            replay_trace(forged, verify=True)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+        ],
+    )
+    def test_snapshot_orientation_outside_the_group(self, matrix):
+        protocol = spanning_line_protocol()
+        data = world_to_dict(World.of_free_nodes(3, protocol, leaders=1))
+        data["nodes"][1]["orientation"] = matrix
+        with pytest.raises(SimulationError, match="node 1 has orientation"):
+            world_from_dict(data)
+
+    def test_snapshot_bond_port_unknown(self):
+        world = World(2)
+        world.add_component_from_cells({Vec(0, 0): "g", Vec(1, 0): "g"})
+        data = world_to_dict(world)
+        data["bonds"][0][1] = "zz"
+        with pytest.raises(SimulationError, match="unknown port"):
+            world_from_dict(data)
+
+
+class TestOnePassLoad:
+    """TraceReader.load reads and parses once, and rejects exactly what
+    validate_trace_file reports."""
+
+    def _defects(self, tmp_path):
+        path = tmp_path / "good.trace"
+        record_line_run(path, 6, 4, checkpoint_every=2)
+        data = path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        flipped = bytearray(data)
+        flipped[len(data) // 2] ^= 0x21
+        last_cp = max(
+            i
+            for i, line in enumerate(lines)
+            if json.loads(line)["kind"] == "checkpoint"
+        )
+        return {
+            "byte-flip": bytes(flipped),
+            "truncated": b"".join(lines[:-1]),
+            "torn-tail": b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2],
+            "doubled-end": data + lines[-1],
+            "header-only": lines[0],
+            "empty": b"",
+            "truncated-on-checkpoint": b"".join(lines[: last_cp + 1]),
+        }
+
+    def test_defects_raise_the_validator_messages(self, tmp_path):
+        for name, data in self._defects(tmp_path).items():
+            path = tmp_path / f"{name}.trace"
+            path.write_bytes(data)
+            errors = validate_trace_file(path)
+            assert errors, name
+            with pytest.raises(TraceError) as info:
+                TraceReader.load(path)
+            assert str(info.value) == f"invalid trace {path}: " + "; ".join(
+                errors[:4]
+            ), name
+
+    def test_valid_trace_is_read_and_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.trace"
+        record_line_run(path, 8, 3)
+        n_lines = len(path.read_bytes().splitlines())
+        reads = []
+        parses = []
+        read_bytes = Path.read_bytes
+        loads = json.loads
+
+        def counting_read(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        def counting_loads(raw, *args, **kwargs):
+            parses.append(raw)
+            return loads(raw, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read)
+        monkeypatch.setattr(json, "loads", counting_loads)
+        reader = TraceReader.load(path)
+        assert len(reads) == 1
+        assert len(parses) == n_lines
+        assert 1 + len(reader.records) == n_lines
