@@ -10,17 +10,24 @@ scenario at ``n=64`` twice and enforces:
    dual full replay of both sides (best-of-3 each);
 2. **memory** — the diff's ``tracemalloc`` peak stays under half the
    combined input bytes: the engine streams, holding only each side's
-   checkpoint-interval window, never a buffered trace.
+   checkpoint-interval window, never a buffered trace;
+3. **work** — the deterministic twin of the speed bar: the diff calls
+   ``World.apply`` zero times and ``json.loads`` once per line of one
+   side (an identical line is parsed once for both). Wall-clock ratios
+   move with the machine; these counts do not.
 
 Emits ``BENCH_diff.json`` (plus a ``history.jsonl`` record); CI runs this
-as a smoke and enforces both bars (see ``.github/workflows/ci.yml``).
+as a smoke and enforces all three (see ``.github/workflows/ci.yml``).
 """
 
+import json
 import time
 import tracemalloc
 
+import pytest
 from conftest import print_table, write_bench
 
+from repro.core.world import World
 from repro.trace.diff import diff_traces
 from repro.trace.record import record_scenario
 from repro.trace.replay import replay_trace
@@ -44,26 +51,56 @@ def _best_of(fn, rounds=3):
     return best, value
 
 
-def test_diff_identical_streams_bars(benchmark, tmp_path):
+@pytest.fixture(scope="module")
+def trace_pair(tmp_path_factory):
+    """The scenario recorded twice: (result, path a, path b)."""
+    root = tmp_path_factory.mktemp("diff")
+    paths = root / "a.trace", root / "b.trace"
+    for path in paths:
+        result, _writer = record_scenario(
+            SCENARIO,
+            params=PARAMS,
+            seed=SEED,
+            path=path,
+            checkpoint_every=CHECKPOINT_EVERY,
+        )
+    return (result,) + paths
+
+
+def test_diff_identical_streams_do_no_replay_work(trace_pair, monkeypatch):
+    """Diff of identical traces applies no record and parses each line
+    once: the counts the wall-clock bar stands for."""
+    _result, path_a, path_b = trace_pair
+    counts = {"World.apply": 0, "json.loads": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(World, "apply", "World.apply")
+    counted(json, "loads", "json.loads")
+    diff = diff_traces(path_a, path_b)
+    monkeypatch.undo()
+    lines = len(path_a.read_bytes().splitlines())
+    print(
+        f"diff of identical {lines}-line traces: "
+        f"World.apply x{counts['World.apply']}, "
+        f"json.loads x{counts['json.loads']}"
+    )
+    assert diff.identical, diff.describe()
+    assert counts == {"World.apply": 0, "json.loads": lines}, (counts, lines)
+
+
+def test_diff_identical_streams_bars(benchmark, trace_pair):
     """Diff of identical traces: >= 2x a dual replay, bounded memory."""
-    path_a = tmp_path / "a.trace"
-    path_b = tmp_path / "b.trace"
+    result, path_a, path_b = trace_pair
 
     def measure():
-        result, writer = record_scenario(
-            SCENARIO,
-            params=PARAMS,
-            seed=SEED,
-            path=path_a,
-            checkpoint_every=CHECKPOINT_EVERY,
-        )
-        record_scenario(
-            SCENARIO,
-            params=PARAMS,
-            seed=SEED,
-            path=path_b,
-            checkpoint_every=CHECKPOINT_EVERY,
-        )
         diff_wall, diff = _best_of(lambda: diff_traces(path_a, path_b))
         replay_wall, replays = _best_of(
             lambda: (
@@ -75,9 +112,9 @@ def test_diff_identical_streams_bars(benchmark, tmp_path):
         diff_traces(path_a, path_b)
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        return result, diff, replays, diff_wall, replay_wall, peak
+        return diff, replays, diff_wall, replay_wall, peak
 
-    result, diff, replays, diff_wall, replay_wall, peak = benchmark.pedantic(
+    diff, replays, diff_wall, replay_wall, peak = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
 

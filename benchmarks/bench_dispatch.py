@@ -5,10 +5,12 @@ to dense ids, each transition LHS packs into one int key, and ``delta``
 dispatch becomes a single int-dict hit on ids the world already stores.
 This benchmark pins the acceptance bar — **>= 2x over the legacy
 dispatch** — on the real dispatch stream of the n = 64 aggregation
-workload (the same workload as ``bench_schedulers.py``): every
-``evaluate`` call of the seeded run under the uncached hot scheduler
-(the one that sends each enumerated candidate through ``evaluate``) is
-recorded and replayed through
+workload (the same workload as ``bench_schedulers.py``): before each step
+of the seeded run (and once more at stabilization), the brute-force hot
+enumeration :func:`~repro.core.candidates.hot_effective_candidates`
+sends every hot candidate of the current world through a recording
+``evaluate``. That stream, 254,859 delta applications over 96 events,
+is asserted before timing and replayed through
 
 * the *legacy* path, reproducing the seed's dispatch exactly: build an
   ``InteractionView`` of boundary states per call (what ``evaluate`` did)
@@ -27,8 +29,9 @@ from pathlib import Path
 
 from conftest import append_raw_history, print_table
 
+from repro.core.candidates import hot_effective_candidates
 from repro.core.protocol import InteractionView, Rule, RuleProtocol
-from repro.core.scheduler import HotScheduler
+from repro.core.scheduler import evaluate
 from repro.core.simulator import Simulation
 from repro.core.world import World
 from repro.geometry.ports import PORT_INDEX, PORTS_2D, opposite
@@ -41,16 +44,16 @@ def aggregation_protocol() -> RuleProtocol:
     return RuleProtocol(rules, initial_state="g", name="aggregation")
 
 
-class RecordingScheduler(HotScheduler):
-    """The uncached hot scheduler, logging the boundary view of every
-    delta application it evaluates."""
+def record_dispatch_stream(n=64, max_events=200, seed=11):
+    """The boundary view of every delta application the brute-force hot
+    enumeration makes over one seeded run, and the run's event count."""
+    protocol = aggregation_protocol()
+    world = World.of_free_nodes(n, protocol, leaders=0)
+    sim = Simulation(world, protocol, seed=seed)
+    stream = []
 
-    def __init__(self) -> None:
-        super().__init__(incremental=False)
-        self.stream = []
-
-    def _evaluate(self, protocol, world, cand):
-        self.stream.append(
+    def recording_evaluate(protocol, world, cand):
+        stream.append(
             (
                 world.state_of(cand.nid1),
                 cand.port1,
@@ -59,19 +62,13 @@ class RecordingScheduler(HotScheduler):
                 cand.bond,
             )
         )
-        return super()._evaluate(protocol, world, cand)
+        return evaluate(protocol, world, cand)
 
-
-def record_dispatch_stream(n=64, max_events=200, seed=11):
-    """The exact sequence of delta applications of one seeded run, and
-    its event count."""
-    protocol = aggregation_protocol()
-    world = World.of_free_nodes(n, protocol, leaders=0)
-    scheduler = RecordingScheduler()
-    result = Simulation(world, protocol, scheduler=scheduler, seed=seed).run(
-        max_events=max_events
-    )
-    return scheduler.stream, result.events
+    for _ in range(max_events):
+        hot_effective_candidates(world, protocol, recording_evaluate)
+        if sim.step() is None:
+            break
+    return stream, sim.events
 
 
 def legacy_dispatch(rules):
@@ -104,7 +101,10 @@ def time_loop(fn, calls, repeats):
 
 def test_compiled_dispatch_beats_legacy(benchmark):
     stream, events = record_dispatch_stream()
-    assert len(stream) > 10_000  # a real workload, not a toy corpus
+    # Re-enumerating the hot nodes every step dispatches exactly this many
+    # calls on the run (the figure frozen in history.jsonl): a real
+    # workload, not a toy corpus.
+    assert (len(stream), events) == (254_859, 96), (len(stream), events)
 
     protocol = aggregation_protocol()
     program = protocol.program
@@ -148,8 +148,8 @@ def test_compiled_dispatch_beats_legacy(benchmark):
         json.dumps(
             {
                 "workload": (
-                    f"aggregation n=64, seed 11, uncached hot scheduler, "
-                    f"{events} events"
+                    f"aggregation n=64, seed 11, brute-force hot "
+                    f"enumeration before every step, {events} events"
                 ),
                 "calls": calls,
                 "cases": {

@@ -80,7 +80,7 @@ def _run(workload: str, n: int, max_events: int) -> ExperimentResult:
         else accretion_protocol()
     )
     world = _world(workload, protocol, n)
-    scheduler = make_scheduler("hot", incremental=True)
+    scheduler = make_scheduler("hot")
     sim = Simulation(world, protocol, scheduler=scheduler, seed=SEED)
     start = time.perf_counter()
     res = sim.run(max_events=max_events)

@@ -4,8 +4,10 @@ A downstream user designing their own rule table gets four tools:
 
 1. ``format_protocol`` — the table in the paper's notation;
 2. ``lint_protocol`` — unreachable states and dead rules;
-3. ``record_run`` / ``replay`` — a JSON trace of every applied interaction
-   that replays onto a fresh world (regression artifacts);
+3. ``repro.trace`` — a ``repro.trace/v1`` record of every applied
+   interaction (here kept in memory through ``TraceWriter``'s ``sink``),
+   replayed and digest-verified by ``replay_trace`` (regression
+   artifacts);
 4. ``world_to_dict`` — full configuration snapshots.
 
     python examples/protocol_debugging.py
@@ -16,14 +18,14 @@ import json
 from repro import (
     Rule,
     RuleProtocol,
+    Simulation,
     World,
     format_protocol,
     lint_protocol,
-    record_run,
-    replay,
     world_to_dict,
 )
 from repro.geometry.ports import Port
+from repro.trace import TraceReader, TraceWriter, recording, replay_trace
 
 
 def main() -> None:
@@ -51,15 +53,22 @@ def main() -> None:
 
     print("\n--- record a run, replay it, compare snapshots ---")
     world = World.of_free_nodes(6, protocol, leaders=1)
-    recorder = record_run(world, protocol, seed=42)
-    trace_json = json.dumps(recorder.to_list())
-    print(f"recorded {len(recorder.events)} events "
+    records = []
+    writer = TraceWriter(None, sink=records.append)
+    with recording(writer):
+        Simulation(world, protocol, seed=42).run()
+    writer.finalize()
+    trace_json = json.dumps(records)
+    print(f"recorded {writer.events} events "
           f"({len(trace_json)} bytes of JSON)")
 
-    fresh = World.of_free_nodes(6, protocol, leaders=1)
-    replay(fresh, json.loads(trace_json), check_invariants=True)
-    identical = world_to_dict(fresh) == world_to_dict(world)
-    print(f"replayed onto a fresh world: configurations identical = {identical}")
+    result = replay_trace(
+        TraceReader.from_records(json.loads(trace_json)), verify=True
+    )
+    result.world.check_invariants()
+    identical = world_to_dict(result.world) == world_to_dict(world)
+    print(f"replayed from the header snapshot: final digest verified = "
+          f"{result.verified}, configurations identical = {identical}")
 
 
 if __name__ == "__main__":

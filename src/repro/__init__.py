@@ -55,13 +55,10 @@ from repro.core import (
     RunResult,
     Simulation,
     StopReason,
-    TraceRecorder,
     World,
     format_protocol,
     lint_protocol,
     make_scheduler,
-    record_run,
-    replay,
     world_from_dict,
     world_to_dict,
 )
@@ -173,9 +170,8 @@ __all__ = [
     "Param", "Scenario", "ExperimentSpec", "SweepSpec", "ExperimentResult",
     "derive_seed", "get_scenario", "scenario_names", "run_experiment",
     "run_named", "run_sweep",
-    # tooling: introspection, traces, snapshots
-    "format_protocol", "lint_protocol", "TraceRecorder", "record_run",
-    "replay", "world_to_dict", "world_from_dict",
+    # tooling: introspection, snapshots
+    "format_protocol", "lint_protocol", "world_to_dict", "world_from_dict",
     # protocols
     "spanning_line_protocol", "simple_line_protocol", "square_protocol",
     "square2_protocol", "line_replication_protocol",

@@ -46,13 +46,7 @@ from repro.core.inspect import (
     reachable_states,
     state_graph,
 )
-from repro.core.trace import (
-    TraceRecorder,
-    record_run,
-    replay,
-    world_from_dict,
-    world_to_dict,
-)
+from repro.core.trace import world_from_dict, world_to_dict
 
 __all__ = [
     "Protocol",
@@ -94,10 +88,7 @@ __all__ = [
     "LintReport",
     "assert_well_formed",
     "state_graph",
-    # traces and snapshots
-    "TraceRecorder",
-    "record_run",
-    "replay",
+    # snapshots
     "world_to_dict",
     "world_from_dict",
 ]

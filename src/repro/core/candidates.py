@@ -424,18 +424,17 @@ class EffectiveCandidateCache:
     Invalidation, pruning, and the canonical merge all run as array ops,
     and a refresh hands out a :class:`_DenseView` over the columns.
 
-    ``split_delta=False`` disables the fine path for split and move
-    records (they fall through to the coarse version sweep, the pre-delta
-    behavior) — kept selectable for benchmarking
-    (``benchmarks/bench_splits.py``) and as a cross-check oracle.
+    Every merge, split and move record takes its delta path; the coarse
+    version sweep is only the backstop for version movement no record
+    explains. :func:`hot_effective_candidates` is the brute-force oracle
+    the tests hold the cache to.
     """
 
-    def __init__(self, split_delta: bool = True) -> None:
+    def __init__(self) -> None:
         self._world: Optional[World] = None
         self._protocol: Optional[Protocol] = None
         self._cursor = 0
         self._delta_cursor = 0
-        self.split_delta = split_delta
         self._batch: Optional[BatchContext] = None
         self._comp_versions: Dict[int, int] = {}
         self._comp_members: Dict[int, Tuple[int, ...]] = {}
@@ -502,17 +501,11 @@ class EffectiveCandidateCache:
             # interleaved merges, splits, and moves.
             for kind, record in deltas:
                 if kind == "merge":
-                    self._apply_merge_delta(world, record, dirty)
-                elif not self.split_delta:
-                    continue
+                    self._apply_merge(world, record, dirty)
                 elif kind == "split":
-                    self._apply_split_delta(
-                        world, protocol, evaluate, record, dirty
-                    )
+                    self._apply_split(world, protocol, evaluate, record, dirty)
                 elif kind == "move":
-                    self._apply_move_delta(
-                        world, protocol, evaluate, record, dirty
-                    )
+                    self._apply_move(world, protocol, evaluate, record, dirty)
         # Deltas with an up-to-date version trail were consumed above; any
         # remaining version movement (unjournalled surgery, records whose
         # trail broke mid-gap, a truncated delta journal) is swept coarsely.
@@ -745,7 +738,7 @@ class EffectiveCandidateCache:
                 dirty.update(self._comp_members.pop(cid, ()))
                 del self._comp_versions[cid]
 
-    def _apply_merge_delta(
+    def _apply_merge(
         self, world: World, record: MergeRecord, dirty: Set[int]
     ) -> None:
         """Consume one journalled merge with delta pruning.
@@ -957,7 +950,7 @@ class EffectiveCandidateCache:
                 kept.append(row)
         self._pending_rows = kept
 
-    def _apply_split_delta(
+    def _apply_split(
         self,
         world: World,
         protocol: Protocol,
@@ -1017,7 +1010,7 @@ class EffectiveCandidateCache:
         )
         self.split_prunes += 1
 
-    def _apply_move_delta(
+    def _apply_move(
         self,
         world: World,
         protocol: Protocol,

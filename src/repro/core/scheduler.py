@@ -10,24 +10,18 @@ effective-candidate layer of :mod:`repro.core.candidates`:
   exact inverse CDF, and picks uniformly among effective interactions.
   Exact in both trajectory law and raw step counts.
 * :class:`RejectionScheduler` — same trajectory (it shares the canonical
-  effective list, incrementally cached by default like ``HotScheduler``),
-  but estimates the raw step count by rejection-sampling node-port pairs
-  from the full superset (the accepted sequence is uniform over the
-  permissible set, so the wait until the first effective draw has exactly
-  the geometric law) instead of computing ``|Perm|``; falls back to the
-  exact geometric tail after ``max_trials`` draws, without double-counting
-  the observed wait.
+  effective list, cached like ``HotScheduler``), but estimates the raw
+  step count by rejection-sampling node-port pairs from the full superset
+  (the accepted sequence is uniform over the permissible set, so the wait
+  until the first effective draw has exactly the geometric law) instead
+  of computing ``|Perm|``; falls back to the exact geometric tail after
+  ``max_trials`` draws, without double-counting the observed wait.
 * :class:`HotScheduler` — samples the effective-interaction jump chain
-  directly and does not track raw steps. By default it maintains the
-  effective set *incrementally* (:class:`EffectiveCandidateCache`),
-  re-examining only the dirty neighborhood of the previous event — the
-  cache consumes the world-delta journal, so merges, splits, surgery
-  excisions and hybrid moves are all pruned finely; ``incremental=False``
-  re-enumerates the hot neighborhood from scratch every event (the
-  pre-cache behavior, kept for benchmarking and as a cross-check oracle),
-  and ``split_delta=False`` keeps the cache but demotes split/move records
-  to coarse version sweeps (the pre-split-delta behavior, benchmarked by
-  ``benchmarks/bench_splits.py``).
+  directly and does not track raw steps. It maintains the effective set
+  in an :class:`EffectiveCandidateCache`, re-examining only the dirty
+  neighborhood of the previous event: the cache consumes the world-delta
+  journal, so merges, splits, surgery excisions and hybrid moves are all
+  pruned finely.
 * :class:`RoundRobinScheduler` — a deterministic *fair* adversary cycling
   through the same canonical candidate list.
 
@@ -66,14 +60,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import SchedulerError
 from repro.core.candidates import (
     EffectiveCandidateCache,
-    Entry,
     bound_program,
-    hot_effective_candidates,
     reference_effective_candidates,
 )
 from repro.core.protocol import Protocol, Update
@@ -183,27 +175,15 @@ class RejectionScheduler(Scheduler):
 
     tracks_raw_steps = True
 
-    def __init__(
-        self,
-        max_trials: Optional[int] = None,
-        incremental: bool = True,
-        split_delta: bool = True,
-    ) -> None:
+    def __init__(self, max_trials: Optional[int] = None) -> None:
         super().__init__()
         self.max_trials = max_trials
-        self._cache = (
-            EffectiveCandidateCache(split_delta=split_delta)
-            if incremental
-            else None
-        )
+        self._cache = EffectiveCandidateCache()
 
     def next_event(
         self, world: World, protocol: Protocol, rng: random.Random
     ) -> Optional[ScheduledEvent]:
-        if self._cache is not None:
-            effective = self._cache.refresh(world, protocol, self._evaluate)
-        else:
-            effective = hot_effective_candidates(world, protocol, self._evaluate)
+        effective = self._cache.refresh(world, protocol, self._evaluate)
         if not effective:
             return None
         cand, update = effective[rng.randrange(len(effective))]
@@ -271,32 +251,21 @@ class HotScheduler(Scheduler):
     Exactly reproduces the trajectory of the uniform random scheduler (the
     conditional law of a uniform permissible draw given effectiveness is
     uniform on the effective set) without paying for ineffective steps.
-    With ``incremental=True`` (the default) the effective set is maintained
-    by an :class:`EffectiveCandidateCache` and each event re-examines only
-    the neighborhood the previous event dirtied; with ``incremental=False``
-    the hot neighborhood is re-enumerated from scratch every event.
+    The effective set is maintained by an :class:`EffectiveCandidateCache`,
+    so each event re-examines only the neighborhood the previous event
+    dirtied.
     """
 
     tracks_raw_steps = False
 
-    def __init__(self, incremental: bool = True, split_delta: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.incremental = incremental
-        self._cache = (
-            EffectiveCandidateCache(split_delta=split_delta)
-            if incremental
-            else None
-        )
-
-    def _effective(self, world: World, protocol: Protocol) -> List[Entry]:
-        if self._cache is not None:
-            return self._cache.refresh(world, protocol, self._evaluate)
-        return hot_effective_candidates(world, protocol, self._evaluate)
+        self._cache = EffectiveCandidateCache()
 
     def next_event(
         self, world: World, protocol: Protocol, rng: random.Random
     ) -> Optional[ScheduledEvent]:
-        effective = self._effective(world, protocol)
+        effective = self._cache.refresh(world, protocol, self._evaluate)
         if not effective:
             return None
         cand, update = effective[rng.randrange(len(effective))]
@@ -320,22 +289,15 @@ class RoundRobinScheduler(Scheduler):
 
     tracks_raw_steps = False
 
-    def __init__(self, incremental: bool = True, split_delta: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._turn = 0
-        self._cache = (
-            EffectiveCandidateCache(split_delta=split_delta)
-            if incremental
-            else None
-        )
+        self._cache = EffectiveCandidateCache()
 
     def next_event(
         self, world: World, protocol: Protocol, rng: random.Random
     ) -> Optional[ScheduledEvent]:
-        if self._cache is not None:
-            effective = self._cache.refresh(world, protocol, self._evaluate)
-        else:
-            effective = hot_effective_candidates(world, protocol, self._evaluate)
+        effective = self._cache.refresh(world, protocol, self._evaluate)
         if not effective:
             return None
         cand, update = effective[self._turn % len(effective)]
@@ -346,9 +308,9 @@ class RoundRobinScheduler(Scheduler):
 def make_scheduler(kind: str = "hot", **kwargs) -> Scheduler:
     """Factory: ``"enumerate"``, ``"rejection"``, ``"hot"``, ``"round-robin"``.
 
-    Keyword arguments are forwarded to the scheduler constructor, e.g.
-    ``make_scheduler("hot", incremental=False)`` for the non-cached hot
-    scheduler or ``make_scheduler("rejection", max_trials=500)``.
+    Keyword arguments are forwarded to the scheduler constructor; only
+    the rejection scheduler takes one, e.g.
+    ``make_scheduler("rejection", max_trials=500)``.
     """
     if kind == "enumerate":
         return EnumeratingScheduler(**kwargs)

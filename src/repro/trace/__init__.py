@@ -1,8 +1,9 @@
 """Streaming traces: record, verify, seek, and replay runs bit-exactly.
 
-The successor of the in-memory recorder in :mod:`repro.core.trace` (kept as
-the thin compatibility layer): every run becomes a streamable, seekable,
-verifiable NDJSON artifact in the versioned ``repro.trace/v1`` encoding.
+Every run becomes a streamable, seekable, verifiable NDJSON artifact in
+the versioned ``repro.trace/v1`` encoding. The world snapshots its headers
+and checkpoints embed come from :mod:`repro.core.trace`; everything else
+(the one event encoder, the one applier) lives here.
 
 * :mod:`repro.trace.encoding` — the record vocabulary, canonical bytes,
   digests, and the hash chain;

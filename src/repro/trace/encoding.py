@@ -3,9 +3,9 @@
 A trace is NDJSON: one canonically-serialized JSON object per line. The
 stream opens with a **header** (scenario identity, seed, scheduler, and a
 full initial :func:`~repro.core.trace.world_to_dict` snapshot), carries one
-**event** record per applied effective interaction (the exact shape of the
-legacy :class:`~repro.core.trace.TraceEvent` dicts, so both trace layers
-speak one vocabulary), interleaves out-of-band **detach**/**excise** records
+**event** record per applied effective interaction (:func:`event_record`,
+the one event encoder; :class:`~repro.trace.replay.TraceCursor` is the one
+applier), interleaves out-of-band **detach**/**excise** records
 for injected faults (the world-delta log's split vocabulary — a
 non-disconnecting bond break journals no delta record, so faults must be
 recorded explicitly), drops periodic **checkpoint** snapshots, and closes
@@ -125,7 +125,10 @@ def header_record(
 
 
 def event_record(index: int, cand: Candidate, update: Update) -> Dict[str, Any]:
-    """One applied effective interaction (the TraceEvent dict shape)."""
+    """One applied effective interaction: endpoints, ports, bond
+    transition, state updates and (for an inter-component bond) the
+    placement. ``index`` is the 1-based event count, as a
+    :class:`~repro.core.simulator.Simulation` trace hook receives it."""
     rotation = None
     translation = None
     if cand.rotation is not None:
@@ -238,44 +241,64 @@ def end_record(events: int, seq: int, chain: str, world: World) -> Dict[str, Any
 # ----------------------------------------------------------------------
 
 
+def _record_error(record: Mapping[str, Any], detail: str) -> TraceError:
+    """A decode failure, as a :class:`TraceError` naming the record."""
+    return TraceError(
+        f"{record.get('kind')} record at index {record.get('index')!r}: "
+        f"{detail}"
+    )
+
+
 def _port_from_record(value: Any, record: Mapping[str, Any]) -> Port:
     """Decode one port of a record; an unknown port is a :class:`TraceError`
     naming the record, never a bare ``ValueError``."""
     try:
         return Port(value)
     except ValueError:
-        raise TraceError(
-            f"{record.get('kind')} record at index {record.get('index')!r}: "
-            f"unknown port {value!r}"
-        ) from None
+        raise _record_error(record, f"unknown port {value!r}") from None
+
+
+def _undecodable(record: Mapping[str, Any], exc: Exception) -> TraceError:
+    """The error for a record field that is missing or does not decode."""
+    if isinstance(exc, KeyError):
+        return _record_error(record, f"no {exc.args[0]!r} field")
+    return _record_error(record, f"a field does not decode ({exc})")
 
 
 def candidate_from_record(record: Mapping[str, Any]) -> Candidate:
-    """Rebuild the applied candidate of an event record."""
-    rotation = None
-    translation = None
-    if record.get("rotation") is not None:
-        rotation = Rotation(tuple(map(tuple, record["rotation"])))
-    if record.get("translation") is not None:
-        translation = Vec(*record["translation"])
-    return Candidate(
-        record["nid1"],
-        _port_from_record(record["port1"], record),
-        record["nid2"],
-        _port_from_record(record["port2"], record),
-        record["bond"],
-        rotation,
-        translation,
-    )
+    """Rebuild the applied candidate of an event record; a missing or
+    malformed field is a :class:`TraceError` naming the record."""
+    try:
+        rotation = None
+        translation = None
+        if record.get("rotation") is not None:
+            rotation = Rotation(tuple(map(tuple, record["rotation"])))
+        if record.get("translation") is not None:
+            translation = Vec(*record["translation"])
+        return Candidate(
+            record["nid1"],
+            _port_from_record(record["port1"], record),
+            record["nid2"],
+            _port_from_record(record["port2"], record),
+            record["bond"],
+            rotation,
+            translation,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _undecodable(record, exc) from None
 
 
 def update_from_record(record: Mapping[str, Any]) -> Update:
-    """Rebuild the applied update of an event record."""
-    return (
-        _state_from_repr(record["new_state1"]),
-        _state_from_repr(record["new_state2"]),
-        record["new_bond"],
-    )
+    """Rebuild the applied update of an event record; a missing or
+    malformed field is a :class:`TraceError` naming the record."""
+    try:
+        return (
+            _state_from_repr(record["new_state1"]),
+            _state_from_repr(record["new_state2"]),
+            record["new_bond"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _undecodable(record, exc) from None
 
 
 def bond_from_record(record: Mapping[str, Any]) -> Bond:

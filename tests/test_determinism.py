@@ -18,25 +18,32 @@ import pytest
 _SCRIPT = r"""
 import json
 from repro.core.simulator import Simulation
-from repro.core.trace import TraceRecorder, world_to_dict
+from repro.core.trace import world_to_dict
 from repro.core.world import World
+from repro.trace.encoding import event_record
+
+def recorder():
+    events = []
+    def hook(index, cand, update, _world):
+        events.append(event_record(index, cand, update))
+    return hook, events
 
 def run_line():
     from repro.protocols.line import spanning_line_protocol
     protocol = spanning_line_protocol()
     world = World.of_free_nodes(9, protocol, leaders=1)
-    rec = TraceRecorder()
-    Simulation(world, protocol, seed=5, trace=rec.hook).run_to_stabilization()
-    return rec.to_list(), world_to_dict(world)
+    hook, events = recorder()
+    Simulation(world, protocol, seed=5, trace=hook).run_to_stabilization()
+    return events, world_to_dict(world)
 
 def run_protocol5():
     from repro.protocols.replication import (
         no_leader_line_replication_protocol, replication_world)
     protocol = no_leader_line_replication_protocol()
     world = replication_world(4, free_nodes=8, leader_left="e")
-    rec = TraceRecorder()
-    Simulation(world, protocol, seed=11, trace=rec.hook).run(max_events=500)
-    return rec.to_list(), world_to_dict(world)
+    hook, events = recorder()
+    Simulation(world, protocol, seed=11, trace=hook).run(max_events=500)
+    return events, world_to_dict(world)
 
 def run_faulty():
     from repro.faults.injection import FaultySimulation

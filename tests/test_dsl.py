@@ -13,7 +13,7 @@ import pytest
 from repro.core.protocol import AgentProtocol, InteractionView, Rule, RuleProtocol
 from repro.core.scheduler import make_scheduler
 from repro.core.simulator import Simulation
-from repro.core.trace import TraceRecorder, world_to_dict
+from repro.core.trace import world_to_dict
 from repro.core.world import World
 from repro.errors import ProtocolError
 from repro.geometry.ports import PORTS_2D, Port, opposite, ports_for_dimension
@@ -42,6 +42,7 @@ from repro.protocols.replication import (
 )
 from repro.protocols.square import square_protocol
 from repro.protocols.square2 import square2_protocol
+from repro.trace.encoding import event_record
 
 U, R, D, L = Port.UP, Port.RIGHT, Port.DOWN, Port.LEFT
 
@@ -243,13 +244,13 @@ def test_leaderless_table_agrees_with_handler_everywhere():
 
 def _traced_run(protocol, n, leaders, kind, seed, max_events=400):
     world = World.of_free_nodes(n, protocol, leaders=leaders)
-    rec = TraceRecorder()
+    events = []
     sim = Simulation(
         world, protocol, scheduler=make_scheduler(kind), seed=seed,
-        trace=rec.hook,
+        trace=lambda i, c, u, _w: events.append(event_record(i, c, u)),
     )
     res = sim.run(max_events=max_events)
-    return rec.to_list(), world_to_dict(world), res.events, res.raw_steps
+    return events, world_to_dict(world), res.events, res.raw_steps
 
 
 @pytest.mark.parametrize("kind", ["hot", "enumerate", "rejection", "round-robin"])

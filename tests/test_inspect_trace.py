@@ -1,4 +1,5 @@
-"""Tests for protocol introspection (core.inspect) and traces (core.trace)."""
+"""Tests for protocol introspection (core.inspect), in-memory traces
+(repro.trace) and world snapshots (core.trace)."""
 
 import json
 
@@ -14,15 +15,9 @@ from repro.core.inspect import (
 )
 from repro.core.protocol import Rule, RuleProtocol
 from repro.core.simulator import Simulation
-from repro.core.trace import (
-    TraceRecorder,
-    record_run,
-    replay,
-    world_from_dict,
-    world_to_dict,
-)
-from repro.core.world import World
-from repro.errors import ProtocolError, SimulationError
+from repro.core.trace import world_from_dict, world_to_dict
+from repro.core.world import Candidate, World
+from repro.errors import ProtocolError, SimulationError, TraceError
 from repro.geometry.ports import Port
 from repro.geometry.vec import Vec
 from repro.protocols.line import simple_line_protocol, spanning_line_protocol
@@ -33,6 +28,14 @@ from repro.protocols.replication import (
 )
 from repro.protocols.square import square_protocol
 from repro.protocols.square2 import square2_protocol
+from repro.trace import (
+    TraceCursor,
+    TraceReader,
+    TraceWriter,
+    recording,
+    replay_trace,
+)
+from repro.trace.encoding import event_record, update_from_record
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +132,7 @@ class TestLint:
 
 
 # ----------------------------------------------------------------------
-# core.trace
+# traces and snapshots
 # ----------------------------------------------------------------------
 
 
@@ -138,60 +141,62 @@ def fresh_line_world(n: int):
     return World.of_free_nodes(n, protocol, leaders=1), protocol
 
 
+def record_line_run(n: int, seed: int):
+    """Record a spanning-line run in memory: (final world, trace records)."""
+    world, protocol = fresh_line_world(n)
+    records = []
+    writer = TraceWriter(None, sink=records.append)
+    with recording(writer):
+        Simulation(world, protocol, seed=seed).run()
+    writer.finalize()
+    return world, records
+
+
+def first_event(records):
+    return next(r for r in records if r["kind"] == "event")
+
+
 class TestTraceRecordReplay:
     def test_trace_length_equals_events(self):
-        world, protocol = fresh_line_world(7)
-        recorder = record_run(world, protocol, seed=3)
-        assert len(recorder.events) == 6  # n - 1 effective interactions
+        _world, records = record_line_run(7, seed=3)
+        events = [r for r in records if r["kind"] == "event"]
+        assert len(events) == 6  # n - 1 effective interactions
 
     def test_replay_reproduces_final_configuration(self):
-        world, protocol = fresh_line_world(8)
-        recorder = record_run(world, protocol, seed=5)
-        original = world_to_dict(world)
-
-        fresh, _ = fresh_line_world(8)
-        replay(fresh, recorder.to_list(), check_invariants=True)
-        assert world_to_dict(fresh) == original
+        world, records = record_line_run(8, seed=5)
+        res = replay_trace(TraceReader.from_records(records), verify=True)
+        res.world.check_invariants()
+        assert world_to_dict(res.world) == world_to_dict(world)
 
     def test_trace_is_json_serializable(self):
-        world, protocol = fresh_line_world(5)
-        recorder = record_run(world, protocol, seed=1)
-        text = json.dumps(recorder.to_list())
-        events = json.loads(text)
-        fresh, _ = fresh_line_world(5)
-        replay(fresh, events)
-        assert len(fresh.components) == 1
+        _world, records = record_line_run(5, seed=1)
+        text = json.dumps(records)
+        res = replay_trace(TraceReader.from_records(json.loads(text)))
+        assert len(res.world.components) == 1
 
     def test_replay_detects_divergence(self):
-        world, protocol = fresh_line_world(6)
-        recorder = record_run(world, protocol, seed=2)
-        events = recorder.to_list()
+        _world, records = record_line_run(6, seed=2)
         # Corrupt the trace: replay the first event twice — the second
         # application sees a bond that already exists.
-        with pytest.raises(SimulationError):
-            fresh, _ = fresh_line_world(6)
-            replay(fresh, [events[0], events[0]])
+        cursor = TraceCursor()
+        cursor.feed(records[0])
+        cursor.feed(first_event(records))
+        with pytest.raises(TraceError, match="bond state diverged"):
+            cursor.feed(first_event(records))
 
     def test_replay_rejects_unknown_nodes(self):
-        world, protocol = fresh_line_world(4)
-        recorder = record_run(world, protocol, seed=0)
-        events = recorder.to_list()
-        events[0]["nid1"] = 999
-        with pytest.raises(SimulationError):
-            fresh, _ = fresh_line_world(4)
-            replay(fresh, events)
+        _world, records = record_line_run(4, seed=0)
+        cursor = TraceCursor()
+        cursor.feed(records[0])
+        with pytest.raises(TraceError, match="unknown node ids"):
+            cursor.feed(dict(first_event(records), nid1=999))
 
     def test_tuple_states_round_trip(self):
-        recorder = TraceRecorder()
-        from repro.core.world import Candidate
-
         cand = Candidate(0, Port.RIGHT, 1, Port.LEFT, 0)
-        recorder.record(1, cand, (("L", Port.UP), ("dist", 3), 1))
-        obj = json.loads(json.dumps(recorder.to_list()))[0]
-        from repro.core.trace import _state_from_repr
-
-        assert _state_from_repr(obj["new_state1"])[0] == "L"
-        assert _state_from_repr(obj["new_state2"]) == ("dist", 3)
+        record = event_record(1, cand, (("L", Port.UP), ("dist", 3), 1))
+        new1, new2, _bond = update_from_record(json.loads(json.dumps(record)))
+        assert new1 == ("L", Port.UP)
+        assert new2 == ("dist", 3)
 
 
 class TestWorldSnapshots:

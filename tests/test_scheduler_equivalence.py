@@ -2,12 +2,12 @@
 
 The scheduler contract (``repro.core.scheduler``) makes every uniform
 scheduler consume the same RNG draws over the same canonically ordered
-effective list, so seeded runs of ``enumerate``, ``rejection``, ``hot``
-(cached), and ``hot`` (brute-force) must produce byte-identical event
-trajectories and final configurations — not merely agree in law. These
+effective list, so seeded runs of ``enumerate``, ``rejection`` and ``hot``
+must produce byte-identical event trajectories and final configurations — not merely agree in law. These
 tests pin that across the paper's line, square, and replication protocols,
-and drive the incremental cache against the reference enumeration through
-merges, splits, fault injection, and synchronous rounds.
+and drive the candidate cache against the reference enumeration through
+merges, splits, fault injection, and synchronous rounds. Trajectories are
+captured as ``repro.trace`` event records from a ``Simulation`` trace hook.
 """
 
 import random
@@ -25,7 +25,7 @@ from repro.core.candidates import (
 from repro.core.protocol import Rule, RuleProtocol
 from repro.core.scheduler import evaluate, make_scheduler
 from repro.core.simulator import Simulation
-from repro.core.trace import TraceRecorder, world_to_dict
+from repro.core.trace import world_to_dict
 from repro.core.world import World
 from repro.faults.injection import FaultySimulation, break_random_bond
 from repro.geometry.ports import PORTS_2D, opposite, ports_for_dimension
@@ -35,13 +35,9 @@ from repro.protocols.replication import (
     replication_world,
 )
 from repro.protocols.square import square_protocol
+from repro.trace.encoding import event_record
 
-KINDS = (
-    ("enumerate", {}),
-    ("rejection", {}),
-    ("hot", {"incremental": True}),
-    ("hot", {"incremental": False}),
-)
+KINDS = ("enumerate", "rejection", "hot")
 
 
 def gluing_protocol() -> RuleProtocol:
@@ -49,19 +45,29 @@ def gluing_protocol() -> RuleProtocol:
     return RuleProtocol(rules, initial_state="g", name="gluing")
 
 
-def _trajectory(make_world, protocol, kind, kwargs, seed, max_events):
+def event_recorder():
+    """A ``Simulation`` trace hook and the event records it collects."""
+    events = []
+
+    def hook(index, cand, update, _world):
+        events.append(event_record(index, cand, update))
+
+    return hook, events
+
+
+def _trajectory(make_world, protocol, kind, seed, max_events):
     world = make_world()
-    rec = TraceRecorder()
+    hook, events = event_recorder()
     sim = Simulation(
         world,
         protocol,
-        scheduler=make_scheduler(kind, **kwargs),
+        scheduler=make_scheduler(kind),
         seed=seed,
-        trace=rec.hook,
+        trace=hook,
         check_invariants=True,
     )
     sim.run(max_events=max_events)
-    return rec.to_list(), world_to_dict(world)
+    return events, world_to_dict(world)
 
 
 SCENARIOS = {
@@ -95,15 +101,14 @@ def test_seeded_trajectories_identical_across_schedulers(name):
     for seed in (0, 7, 123):
         runs = [
             _trajectory(
-                lambda: make_world(protocol), protocol, kind, kwargs, seed,
-                max_events,
+                lambda: make_world(protocol), protocol, kind, seed, max_events
             )
-            for kind, kwargs in KINDS
+            for kind in KINDS
         ]
         reference = runs[0]
-        for (kind, kwargs), run in zip(KINDS[1:], runs[1:]):
-            assert run[0] == reference[0], (name, seed, kind, kwargs)
-            assert run[1] == reference[1], (name, seed, kind, kwargs)
+        for kind, run in zip(KINDS[1:], runs[1:]):
+            assert run[0] == reference[0], (name, seed, kind)
+            assert run[1] == reference[1], (name, seed, kind)
 
 
 @pytest.mark.parametrize("dimension", (2, 3))
@@ -122,17 +127,16 @@ def test_seeded_trajectories_identical_under_faults(dimension):
     protocol = RuleProtocol(
         rules, initial_state="g", name="gluing", dimension=dimension
     )
-    uniform_kinds = list(KINDS)  # round-robin consumes no randomness
     for seed in (0, 11):
         runs = []
-        for kind, kwargs in uniform_kinds:
+        for kind in KINDS:  # the uniform ones: round-robin draws nothing
             world = World.of_free_nodes(10, protocol, leaders=0)
             fsim = FaultySimulation(
                 world,
                 protocol,
                 break_prob=0.25,
                 excise_prob=0.15,
-                scheduler=make_scheduler(kind, **kwargs),
+                scheduler=make_scheduler(kind),
                 seed=seed,
             )
             fsim.run(max_steps=150)
@@ -155,8 +159,8 @@ def test_seeded_trajectories_identical_under_faults(dimension):
         reference = runs[0]
         # The workload must actually be split-heavy to pin anything.
         assert reference[1] and reference[2], "no faults fired"
-        for (kind, kwargs), run in zip(uniform_kinds[1:], runs[1:]):
-            assert run == reference, (dimension, seed, kind, kwargs)
+        for kind, run in zip(KINDS[1:], runs[1:]):
+            assert run == reference, (dimension, seed, kind)
 
 
 def test_raw_step_counters_still_tracked():
@@ -330,36 +334,18 @@ class TestRoundRobinDeterminism:
 
         def run_once():
             world = World.of_free_nodes(6, protocol, leaders=1)
-            rec = TraceRecorder()
+            hook, events = event_recorder()
             sim = Simulation(
                 world,
                 protocol,
                 scheduler=make_scheduler("round-robin"),
                 seed=0,
-                trace=rec.hook,
+                trace=hook,
             )
             sim.run_to_stabilization(max_events=2000)
-            return rec.to_list(), world_to_dict(world)
+            return events, world_to_dict(world)
 
         assert run_once() == run_once()
-
-    def test_round_robin_incremental_matches_brute(self):
-        protocol = spanning_line_protocol()
-
-        def run_once(incremental):
-            world = World.of_free_nodes(7, protocol, leaders=1)
-            rec = TraceRecorder()
-            sim = Simulation(
-                world,
-                protocol,
-                scheduler=make_scheduler("round-robin", incremental=incremental),
-                seed=0,
-                trace=rec.hook,
-            )
-            sim.run_to_stabilization(max_events=2000)
-            return rec.to_list(), world_to_dict(world)
-
-        assert run_once(True) == run_once(False)
 
 
 def test_hot_enumeration_is_canonical_and_sorted():

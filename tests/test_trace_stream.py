@@ -7,9 +7,9 @@ with :class:`TraceError`, never replayed into a wrong world. Trace bytes
 themselves are deterministic: identical (initial world, seed, scheduler)
 produce byte-identical files.
 
-Also covers the in-memory compatibility layer's sharpened divergence
-diagnostics (``repro.core.trace.replay`` now validates node states, not
-just bond state) and the sweep service's ``trace`` streaming mode.
+Also covers the replay cursor's divergence errors, decoders that fail
+closed on forged records and snapshots, and the sweep service's ``trace``
+streaming mode.
 """
 
 import json
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.scheduler import make_scheduler
 from repro.core.simulator import Simulation
-from repro.core.trace import TraceRecorder, world_from_dict, world_to_dict
+from repro.core.trace import world_from_dict, world_to_dict
 from repro.core.world import World
 from repro.errors import SimulationError, TraceError
 from repro.faults.injection import FaultySimulation
@@ -141,6 +141,21 @@ class TestRoundTrip:
         trace = TraceReader.load(writer.path)
         with pytest.raises(TraceError, match="outside the recorded range"):
             replay_trace(trace, to_event=trace.events + 1)
+
+    def test_world_mutated_outside_the_stream_fails_verify(self, tmp_path):
+        # A state written between two steps is no event: the replayed
+        # world misses it, and the end anchor's digest says so.
+        protocol = spanning_line_protocol()
+        world = World.of_free_nodes(6, protocol, leaders=1)
+        writer = TraceWriter(tmp_path / "run.trace", checkpoint_every=0)
+        with recording(writer):
+            sim = Simulation(world, protocol, seed=4)
+            sim.step()
+            world.set_state(5, "rogue-state")
+            sim.run(max_events=1_000)
+        writer.finalize()
+        with pytest.raises(TraceError, match="replay diverged at end record"):
+            replay_trace(writer.path, verify=True)
 
 
 class TestFaultRoundTrip:
@@ -302,71 +317,6 @@ class TestWriterAndReader:
     def test_validate_trace_bytes_accepts_good_trace(self, tmp_path):
         _world, writer = record_line_run(tmp_path / "run.trace", 8, 9)
         assert validate_trace_bytes(writer.path.read_bytes()) == []
-
-
-class TestCompatLayerDiagnostics:
-    """Satellite: core replay validates node states with detail."""
-
-    def _record(self, n=6, seed=4):
-        protocol = spanning_line_protocol()
-        world = World.of_free_nodes(n, protocol, leaders=1)
-        recorder = TraceRecorder()
-        sim = Simulation(world, protocol, seed=seed, trace=recorder.hook)
-        sim.run(max_events=1_000)
-        return protocol, recorder.to_list()
-
-    def test_state_divergence_reported_with_detail(self):
-        from repro.core.trace import replay
-
-        protocol, events = self._record()
-        # Find a node an event updates and a *later* event touches again:
-        # mutating its state between the two must fail at the later event,
-        # naming the node and both states — the diagnostic for a world
-        # that changed outside the replayed interaction stream.
-        touched = {}
-        later = nid = None
-        for j, ev in enumerate(events):
-            for cand in (ev["nid1"], ev["nid2"]):
-                if cand in touched:
-                    later, nid = j, cand
-                    break
-            if later is not None:
-                break
-            touched[ev["nid1"]] = j
-            touched[ev["nid2"]] = j
-        assert later is not None, "no node touched twice; enlarge the run"
-
-        fresh = World.of_free_nodes(6, protocol, leaders=1)
-
-        def stream():
-            for j, ev in enumerate(events):
-                if j == later:
-                    fresh.set_state(nid, "rogue-state")
-                yield ev
-
-        with pytest.raises(SimulationError) as exc:
-            replay(fresh, stream())
-        msg = str(exc.value)
-        assert f"replay event {events[later]['index']}" in msg
-        assert f"node {nid} state diverged" in msg
-        assert "rogue-state" in msg  # expected-vs-actual detail
-
-    def test_bond_divergence_reports_expected_vs_actual(self):
-        from repro.core.trace import replay
-
-        protocol, events = self._record()
-        bad = json.loads(json.dumps(events))
-        bad[0]["bond"] = 1 - bad[0]["bond"]
-        fresh = World.of_free_nodes(6, protocol, leaders=1)
-        with pytest.raises(SimulationError, match="bond state diverged"):
-            replay(fresh, bad)
-
-    def test_clean_replay_still_passes(self):
-        from repro.core.trace import replay
-
-        protocol, events = self._record()
-        fresh = World.of_free_nodes(6, protocol, leaders=1)
-        replay(fresh, events, check_invariants=True)
 
 
 class TestSnapshotRestore:
@@ -536,20 +486,29 @@ def _rechain(records):
 
 
 class TestDecodersFailClosed:
-    """A re-chained trace with an undecodable record raises TraceError at
-    replay (exit 2 at the CLI), never a bare ValueError or a wrong world."""
+    """A re-chained trace with an undecodable record or snapshot raises a
+    named library error at replay (exit 2 at the CLI), never a bare
+    ``KeyError``/``TypeError``/``ValueError`` or a wrong world."""
 
-    def _forge(self, tmp_path, edit):
+    def _forge(self, tmp_path, edit, header=False):
+        """Re-chain the n = 8 line trace after ``edit`` changed its first
+        bonding event (or, with ``header``, its header snapshot); returns
+        the forged path and that event's index."""
         _world, writer = record_line_run(tmp_path / "run.trace", 8, 3)
         records = [json.loads(l) for l in writer.path.read_bytes().splitlines()]
         first_bond = next(
             r for r in records if r["kind"] == "event" and r["rotation"]
         )
-        edit(first_bond)
+        edit(records[0]["snapshot"] if header else first_bond)
         forged = tmp_path / "forged.trace"
         forged.write_bytes(_rechain(records))
         assert validate_trace_bytes(forged.read_bytes()) == []
         return forged, first_bond["index"]
+
+    @staticmethod
+    def _refused_at_cli(forged, capsys):
+        assert main(["replay", str(forged), "--verify"]) == 2
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_unknown_event_port(self, tmp_path, capsys):
         forged, index = self._forge(
@@ -557,8 +516,68 @@ class TestDecodersFailClosed:
         )
         with pytest.raises(TraceError, match=f"index {index}: unknown port 'zz'"):
             replay_trace(forged, verify=True)
-        assert main(["replay", str(forged), "--verify"]) == 2
-        assert "repro: error:" in capsys.readouterr().err
+        self._refused_at_cli(forged, capsys)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r.pop("nid2"), "no 'nid2' field"),
+            (lambda r: r.update(translation=[1]), "a field does not decode"),
+            (lambda r: r.pop("new_state1"), "no 'new_state1' field"),
+        ],
+        ids=["no-nid2", "short-translation", "no-new-state1"],
+    )
+    def test_malformed_event_field(self, tmp_path, capsys, edit, message):
+        forged, index = self._forge(tmp_path, edit)
+        with pytest.raises(
+            TraceError, match=f"event record at index {index}: {message}"
+        ):
+            replay_trace(forged, verify=True)
+        self._refused_at_cli(forged, capsys)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r.update(nid1=999), "unknown node ids"),
+            (lambda r: r.update(bond=1 - r["bond"]), "bond state diverged"),
+        ],
+        ids=["unknown-node", "flipped-bond"],
+    )
+    def test_event_diverging_from_the_world(
+        self, tmp_path, capsys, edit, message
+    ):
+        forged, index = self._forge(tmp_path, edit)
+        with pytest.raises(TraceError, match=f"replay event {index}: {message}"):
+            replay_trace(forged, verify=True)
+        self._refused_at_cli(forged, capsys)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda s: s["bonds"].append([99, "r", 1, "l"]),
+                r"bond \[99, 'r', 1, 'l'\] names an unknown node",
+            ),
+            (
+                lambda s: s["nodes"][1].pop("orientation"),
+                "node entry 1 has no 'orientation' field",
+            ),
+            (
+                lambda s: s["nodes"][1].update(pos=[0, 0, 0, 0]),
+                "node entry 1 does not decode",
+            ),
+            (
+                lambda s: s.update(nodes=len(s["nodes"])),
+                "node list does not decode",
+            ),
+        ],
+        ids=["bond-unknown-node", "no-orientation", "long-pos", "nodes-not-list"],
+    )
+    def test_malformed_header_snapshot(self, tmp_path, capsys, edit, message):
+        forged, _index = self._forge(tmp_path, edit, header=True)
+        with pytest.raises(SimulationError, match=f"snapshot {message}"):
+            replay_trace(forged, verify=True)
+        self._refused_at_cli(forged, capsys)
 
     def test_unknown_detach_port(self):
         record = {"kind": "detach", "index": 4, "bond": [[0, "zz"], [1, "r"]]}

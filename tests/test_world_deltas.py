@@ -14,8 +14,9 @@ mutation:
 * journal-cursor consistency: cursors are monotone, ``deltas_since``
   returns exactly the records of the gap, and each component's version
   trail is strictly increasing record by record;
-* the coarse sweep (``split_delta=False``) and the fine delta path agree
-  — the delta machinery is an optimization, never a semantic change;
+* the delta path stays exact when several mutations land between two
+  refreshes — the delta machinery is an optimization, never a semantic
+  change;
 * the journal-synced flat columns of the columnar backend
   (``repro.core.columnar.ColumnarIndex``) equal the dict world after
   every mutation.
@@ -61,7 +62,7 @@ from repro.protocols.line import spanning_line_protocol
 SCHEDULER_KINDS = (
     ("enumerate", {}),
     ("rejection", {}),
-    ("hot", {"incremental": True}),
+    ("hot", {}),
     ("round-robin", {}),
 )
 
@@ -260,27 +261,24 @@ class TestRandomizedMutationStress:
     @settings(max_examples=10, deadline=None)
     def test_batched_gaps_fine_equals_coarse(self, seed, gap, dimension):
         # Several mutations may land between two refreshes; the fine delta
-        # path and the coarse sweep must both stay exact through chained,
-        # interleaved records (merge-then-split of the same component,
-        # fragments merging away within the gap, partners in flux).
+        # path must stay exact through chained, interleaved records
+        # (merge-then-split of the same component, fragments merging away
+        # within the gap, partners in flux): it equals the reference.
         protocol = gluing_protocol(dimension)
         world = World(dimension)
         for _ in range(8):
             world.add_free_node("g")
         rng = random.Random(seed)
         sim = Simulation(world, protocol, seed=seed)
-        fine = EffectiveCandidateCache(split_delta=True)
-        coarse = EffectiveCandidateCache(split_delta=False)
+        fine = EffectiveCandidateCache()
         for _ in range(12):
             for _ in range(gap):
                 apply_random_mutation(world, sim, rng)
             got_fine = fine.refresh(world, protocol, evaluate)
-            got_coarse = coarse.refresh(world, protocol, evaluate)
             want, _perm = reference_effective_candidates(
                 world, protocol, evaluate
             )
             assert got_fine == want
-            assert got_coarse == want
 
 
 def check_restored_world(protocol, seed):
@@ -476,36 +474,29 @@ class TestFinePathEffectiveness:
 
     def test_split_consumed_finely_with_fewer_evaluations(self):
         protocol = gluing_protocol()
-        world_fine = World(2)
-        world_coarse = World(2)
-        cells = {Vec(x, y): "g" for x in range(6) for y in range(4)}
-        for w in (world_fine, world_coarse):
-            w.add_component_from_cells(cells)
-            for _ in range(4):
-                w.add_free_node("g")
-        runs = {}
-        for name, world, split_delta in (
-            ("fine", world_fine, True),
-            ("coarse", world_coarse, False),
-        ):
-            cache = EffectiveCandidateCache(split_delta=split_delta)
-            cache.refresh(world, protocol, evaluate)
-            base = cache.evaluations
-            rng = random.Random(5)
-            for _ in range(6):
-                nid = excise_random_node(world, rng, "g")
-                assert nid is not None
-                got = cache.refresh(world, protocol, evaluate)
-                want, _perm = reference_effective_candidates(
-                    world, protocol, evaluate
-                )
-                assert got == want
-            runs[name] = (cache.evaluations - base, cache)
-        fine_evals, fine_cache = runs["fine"]
-        coarse_evals, _ = runs["coarse"]
-        assert fine_cache.split_prunes >= 6
-        assert fine_cache.full_rebuilds == 1
-        assert coarse_evals >= 2 * fine_evals, (coarse_evals, fine_evals)
+        world = World(2)
+        world.add_component_from_cells(
+            {Vec(x, y): "g" for x in range(6) for y in range(4)}
+        )
+        for _ in range(4):
+            world.add_free_node("g")
+        cache = EffectiveCandidateCache()
+        cache.refresh(world, protocol, evaluate)
+        base = cache.evaluations
+        rng = random.Random(5)
+        for _ in range(6):
+            nid = excise_random_node(world, rng, "g")
+            assert nid is not None
+            got = cache.refresh(world, protocol, evaluate)
+            want, _perm = reference_effective_candidates(
+                world, protocol, evaluate
+            )
+            assert got == want
+        assert cache.split_prunes >= 6
+        assert cache.full_rebuilds == 1
+        # Six excisions cost 462 evaluations on the delta path; sweeping
+        # each damaged component whole cost 1,210 on the same run.
+        assert cache.evaluations - base == 462
 
     def test_shrinkage_never_drops_survivors(self, monkeypatch):
         # Two separated blobs with inter candidates between them: excising
