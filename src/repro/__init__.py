@@ -20,137 +20,14 @@ See EXPERIMENTS.md for the generated index of registered scenarios —
 every workload is also runnable declaratively through
 ``repro.experiments`` (``run_named("counting", n=64, seed=0)``) or the
 ``repro run`` / ``repro sweep`` CLI.
+
+Importing ``repro`` imports none of its subpackages: each name in
+``__all__`` resolves on first use, importing only the subpackage that
+owns it, and ``repro.<subpackage>`` imports that subpackage.
 """
 
-from repro.errors import (
-    CollisionError,
-    GeometryError,
-    InvalidShapeError,
-    MachineError,
-    ProtocolError,
-    ReproError,
-    SchedulerError,
-    SimulationError,
-    TerminationError,
-)
-from repro.geometry import (
-    Port,
-    Rotation,
-    Shape,
-    Vec,
-    bounding_rect,
-    enclosing_square,
-    zigzag_cell_to_index,
-    zigzag_index_to_cell,
-)
-from repro.core import (
-    AgentProtocol,
-    Candidate,
-    EnumeratingScheduler,
-    HotScheduler,
-    Protocol,
-    RejectionScheduler,
-    Rule,
-    RuleProtocol,
-    RunResult,
-    Simulation,
-    StopReason,
-    World,
-    format_protocol,
-    lint_protocol,
-    make_scheduler,
-    world_from_dict,
-    world_to_dict,
-)
-from repro.protocols import (
-    is_spanning_line_configuration,
-    leaderless_spanning_line_protocol,
-    line_replication_protocol,
-    no_leader_line_replication_protocol,
-    self_replicating_lines_protocol,
-    simple_line_protocol,
-    spanning_line_protocol,
-    square2_protocol,
-    square_protocol,
-)
-from repro.population import (
-    CountingUpperBound,
-    SimpleUIDCounting,
-    UIDCounting,
-    run_counting,
-)
-from repro.machines import (
-    PatternProgram,
-    PredicateShapeProgram,
-    ShapeProgram,
-    TMShapeProgram,
-    TuringMachine,
-    checkerboard_pattern_program,
-    cross_program,
-    diamond_program,
-    expected_shape,
-    frame_program,
-    full_square_program,
-    gradient_pattern_program,
-    leader_square_root,
-    line_program,
-    ring_pattern_program,
-    serpentine_program,
-    sierpinski_pattern_program,
-    star_program,
-    stripes_program,
-    successive_squares_sqrt,
-)
-from repro.constructors import (
-    DistributedTMSquare,
-    run_counting_on_a_line,
-    run_cube_known_n,
-    run_parallel_3d,
-    run_parallel_segments,
-    run_pattern_construction,
-    run_shape_construction,
-    run_square_known_n,
-    run_universal,
-)
-from repro.replication import (
-    replicate_by_columns,
-    replicate_by_shifting,
-    run_squaring,
-)
-from repro.faults import (
-    FaultySimulation,
-    break_random_bond,
-    detach_part,
-    repair_shape,
-)
-from repro.sync import (
-    SynchronousProgram,
-    TwoSpeedSimulation,
-    broadcast_program,
-    distance_wave_program,
-    run_component_rounds,
-)
-from repro.hybrid import (
-    HybridSimulation,
-    MovementProtocol,
-    MovementRule,
-    rotate_leaf,
-    walker_protocol,
-)
-from repro.viz import render_labels, render_layers, render_shape, render_world
-from repro.experiments import (
-    ExperimentResult,
-    ExperimentSpec,
-    Param,
-    Scenario,
-    SweepSpec,
-    derive_seed,
-    get_scenario,
-    run_experiment,
-    run_named,
-    run_sweep,
-    scenario_names,
-)
+import sys
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
@@ -205,3 +82,117 @@ __all__ = [
     # viz
     "render_shape", "render_labels", "render_world", "render_layers",
 ]
+
+
+def _lazy_exports(
+    package: str, namespace: Dict[str, Any], owners: Mapping[str, Sequence[str]]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """The PEP 562 ``(__getattr__, __dir__)`` pair of a lazy package.
+
+    ``owners`` maps each owning module to the names it provides and
+    ``namespace`` is the package's ``globals()``. A name is imported from
+    its owner on first access and cached in ``namespace``, so later
+    accesses no longer reach ``__getattr__``. Any other attribute is taken
+    to name a submodule, which is imported; if there is none, the lookup
+    raises :class:`AttributeError`. ``repro.core`` and ``repro.trace`` are
+    built the same way.
+    """
+    owner_of = {name: module for module, names in owners.items() for name in names}
+
+    def load(module: str) -> Any:
+        # The ``import`` statement's own path, not importlib.import_module,
+        # so that ``python -X importtime`` reports these imports too.
+        __import__(module)
+        return sys.modules[module]
+
+    def __getattr__(name: str) -> Any:
+        owner = owner_of.get(name)
+        if owner is not None:
+            value = getattr(load(owner), name)
+            namespace[name] = value
+            return value
+        submodule = f"{package}.{name}"
+        try:
+            return load(submodule)
+        except ModuleNotFoundError as exc:
+            if exc.name != submodule:
+                raise  # the submodule exists but one of its imports does not
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(owner_of))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.errors": (
+            "CollisionError", "GeometryError", "InvalidShapeError",
+            "MachineError", "ProtocolError", "ReproError", "SchedulerError",
+            "SimulationError", "TerminationError",
+        ),
+        "repro.geometry": (
+            "Port", "Rotation", "Shape", "Vec", "bounding_rect",
+            "enclosing_square", "zigzag_cell_to_index", "zigzag_index_to_cell",
+        ),
+        "repro.core": (
+            "AgentProtocol", "Candidate", "EnumeratingScheduler",
+            "HotScheduler", "Protocol", "RejectionScheduler", "Rule",
+            "RuleProtocol", "RunResult", "Simulation", "StopReason", "World",
+            "format_protocol", "lint_protocol", "make_scheduler",
+            "world_from_dict", "world_to_dict",
+        ),
+        "repro.protocols": (
+            "is_spanning_line_configuration",
+            "leaderless_spanning_line_protocol", "line_replication_protocol",
+            "no_leader_line_replication_protocol",
+            "self_replicating_lines_protocol", "simple_line_protocol",
+            "spanning_line_protocol", "square2_protocol", "square_protocol",
+        ),
+        "repro.population": (
+            "CountingUpperBound", "SimpleUIDCounting", "UIDCounting",
+            "run_counting",
+        ),
+        "repro.machines": (
+            "PatternProgram", "PredicateShapeProgram", "ShapeProgram",
+            "TMShapeProgram", "TuringMachine", "checkerboard_pattern_program",
+            "cross_program", "diamond_program", "expected_shape",
+            "frame_program", "full_square_program", "gradient_pattern_program",
+            "leader_square_root", "line_program", "ring_pattern_program",
+            "serpentine_program", "sierpinski_pattern_program", "star_program",
+            "stripes_program", "successive_squares_sqrt",
+        ),
+        "repro.constructors": (
+            "DistributedTMSquare", "run_counting_on_a_line", "run_cube_known_n",
+            "run_parallel_3d", "run_parallel_segments",
+            "run_pattern_construction", "run_shape_construction",
+            "run_square_known_n", "run_universal",
+        ),
+        "repro.replication": (
+            "replicate_by_columns", "replicate_by_shifting", "run_squaring",
+        ),
+        "repro.faults": (
+            "FaultySimulation", "break_random_bond", "detach_part",
+            "repair_shape",
+        ),
+        "repro.sync": (
+            "SynchronousProgram", "TwoSpeedSimulation", "broadcast_program",
+            "distance_wave_program", "run_component_rounds",
+        ),
+        "repro.hybrid": (
+            "HybridSimulation", "MovementProtocol", "MovementRule",
+            "rotate_leaf", "walker_protocol",
+        ),
+        "repro.viz": (
+            "render_labels", "render_layers", "render_shape", "render_world",
+        ),
+        "repro.experiments": (
+            "ExperimentResult", "ExperimentSpec", "Param", "Scenario",
+            "SweepSpec", "derive_seed", "get_scenario", "run_experiment",
+            "run_named", "run_sweep", "scenario_names",
+        ),
+    },
+)

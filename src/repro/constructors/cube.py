@@ -19,8 +19,7 @@ rotation freedom, up to four alignments per port pair), so the 2D
 replication walk — which steers by its local left/right ports — can
 deadlock on a twisted attachment. Within a plane the 2D rules are
 unambiguous, hence slabs are built in-plane and the out-of-plane stacking
-is the leader's accounted walk. DESIGN.md records this as a fidelity
-decision.
+is the leader's accounted walk.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ last row, which guarantees replication never ceases early. When the
 row-counter reaches ``sqrt(n) - 1`` and the seed attaches, the leader
 terminates.
 
-Implementation note (see DESIGN.md): line self-replication runs fully
-under the scheduler via
-:func:`repro.protocols.replication.self_replicating_lines_protocol`; the
+Implementation note: line self-replication runs fully under the scheduler
+via :func:`repro.protocols.replication.self_replicating_lines_protocol`; the
 square-side bookkeeping the paper assigns to the waiting leader (bonding a
 row, converting it to inert square states, releasing strays, counting rows)
 is performed by an orchestrator between scheduler events, with its

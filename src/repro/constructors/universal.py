@@ -67,9 +67,15 @@ def run_universal(
 ) -> UniversalResult:
     """Run the universal constructor on ``n`` nodes.
 
-    The three stages run in sequence on populations carried over from one
-    another (the library stages them as separate worlds of the counted
-    sizes; see DESIGN.md on stage gluing). Waste is ``n - |V(G)|``.
+    The three stages run in sequence. In the paper they run on one
+    population, each stage starting from the configuration the last one
+    left; here each stage is its own world, sized by what the previous
+    stage computed (the square is built from ``d * d`` fresh nodes, with
+    ``d`` from the counted estimate, and the TM runs on that square), and
+    its seed is derived from ``seed``. Gluing the stages this way keeps
+    each stage's interaction count separate and leaves the waste, the
+    outcome and the failure condition (a miscount) as the paper states
+    them. Waste is ``n - |V(G)|``.
     """
     if n < max(9, b + 2):
         raise SimulationError(f"universal construction needs n >= 9, got {n}")

@@ -3,50 +3,14 @@
 Implements the model of §3: a population of ``n`` finite automata with
 ports, an adversary/uniform-random scheduler selecting permissible pairs of
 node-ports, and shape configurations evolving through interactions.
+
+Importing ``repro.core`` imports none of its modules: each name in
+``__all__`` resolves on first use, importing only the module that owns
+it, so ``from repro.core import World`` loads neither the candidate layer
+nor numpy.
 """
 
-from repro.core.program import (
-    CompiledProgram,
-    MemoProgram,
-    StateSpace,
-    TransitionTable,
-    compile_rules,
-)
-from repro.core.protocol import (
-    AgentProtocol,
-    InteractionView,
-    Protocol,
-    Rule,
-    RuleProtocol,
-    Update,
-)
-from repro.core.world import Candidate, Component, NodeRecord, World
-from repro.core.candidates import (
-    EffectiveCandidateCache,
-    candidate_sort_key,
-    hot_effective_candidates,
-    reference_effective_candidates,
-)
-from repro.core.sampling import geometric_skip
-from repro.core.scheduler import (
-    EnumeratingScheduler,
-    HotScheduler,
-    RejectionScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    make_scheduler,
-)
-from repro.core.simulator import RunResult, Simulation, StopReason
-from repro.core.inspect import (
-    LintReport,
-    assert_well_formed,
-    format_protocol,
-    format_rule,
-    lint_protocol,
-    reachable_states,
-    state_graph,
-)
-from repro.core.trace import world_from_dict, world_to_dict
+from repro import _lazy_exports
 
 __all__ = [
     "Protocol",
@@ -92,3 +56,34 @@ __all__ = [
     "world_to_dict",
     "world_from_dict",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.core.program": (
+            "CompiledProgram", "MemoProgram", "StateSpace", "TransitionTable",
+            "compile_rules",
+        ),
+        "repro.core.protocol": (
+            "AgentProtocol", "InteractionView", "Protocol", "Rule",
+            "RuleProtocol", "Update",
+        ),
+        "repro.core.world": ("Candidate", "Component", "NodeRecord", "World"),
+        "repro.core.candidates": (
+            "EffectiveCandidateCache", "candidate_sort_key",
+            "hot_effective_candidates", "reference_effective_candidates",
+        ),
+        "repro.core.sampling": ("geometric_skip",),
+        "repro.core.scheduler": (
+            "EnumeratingScheduler", "HotScheduler", "RejectionScheduler",
+            "RoundRobinScheduler", "Scheduler", "make_scheduler",
+        ),
+        "repro.core.simulator": ("RunResult", "Simulation", "StopReason"),
+        "repro.core.inspect": (
+            "LintReport", "assert_well_formed", "format_protocol",
+            "format_rule", "lint_protocol", "reachable_states", "state_graph",
+        ),
+        "repro.core.trace": ("world_from_dict", "world_to_dict"),
+    },
+)

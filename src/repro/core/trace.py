@@ -13,12 +13,12 @@ Recording, replay and diffing live there
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, Tuple
 
 from repro.core.world import World, bond_of
 from repro.errors import SimulationError
 from repro.geometry.ports import Port
-from repro.geometry.rotation import Rotation, is_grid_rotation
+from repro.geometry.rotation import ROTATIONS_3D, Rotation, is_grid_rotation
 from repro.geometry.vec import Vec
 
 
@@ -32,12 +32,42 @@ def _state_repr(state: Any) -> Any:
 
 
 def _state_from_repr(obj: Any) -> Any:
-    if isinstance(obj, list) and obj:
-        if obj[0] == "__tuple__":
+    """Invert :func:`_state_repr`. A state is hashable, so a list that
+    encodes neither a tuple nor a port, or a dict, is a ``TypeError``."""
+    if isinstance(obj, list):
+        if obj and obj[0] == "__tuple__":
             return tuple(_state_from_repr(s) for s in obj[1:])
-        if obj[0] == "__port__":
+        if len(obj) == 2 and obj[0] == "__port__":
             return Port(obj[1])
-    return obj
+    elif not isinstance(obj, dict):
+        return obj
+    raise TypeError(f"state {obj!r} is not hashable")
+
+
+def _ints(values: Iterable[Any], what: str) -> Tuple[int, ...]:
+    """``values`` as a tuple of ints; any other entry (a JSON boolean or
+    float included) is a ``TypeError`` naming ``what``."""
+    out = tuple(values)
+    for value in out:
+        if type(value) is not int:
+            raise TypeError(f"{what} {value!r} is not an integer")
+    return out
+
+
+#: The members of the 3D grid group, which contains the 2D one, by matrix.
+_GRID_ROTATIONS = {rotation.matrix: rotation for rotation in ROTATIONS_3D}
+
+
+def _rotation_from_repr(rows: Any, what: str) -> Rotation:
+    """Decode a rotation matrix. A member of the grid group is one lookup
+    that returns the shared instance; any other matrix must still consist
+    of ints (a ``TypeError`` naming ``what`` otherwise), and the caller's
+    group check then names it."""
+    matrix = tuple(map(tuple, rows))
+    try:
+        return _GRID_ROTATIONS[matrix]
+    except (KeyError, TypeError):  # not a member, or an unhashable entry
+        return Rotation(tuple(_ints(row, what) for row in matrix))
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +127,8 @@ def world_from_dict(data: Dict[str, Any]) -> World:
 
     Node ids, component ids, positions, orientations and bonds are restored
     exactly; the result passes :meth:`World.check_invariants`. A snapshot
-    that does not decode (a missing field, a position of the wrong arity,
+    that does not decode (a missing field, a non-integer id, coordinate or
+    orientation entry, an unhashable state, a position of the wrong arity,
     an orientation outside the model's group, a bond naming an unknown node
     or port) raises :class:`SimulationError` naming the node or bond. The
     errors are caught where the decode fails, so a valid snapshot pays for
@@ -115,10 +146,9 @@ def world_from_dict(data: Dict[str, Any]) -> World:
         max_cid = -1
         part = "node"
         for index, obj in enumerate(nodes):
-            nid = obj["nid"]
-            cid = obj["component"]
-            pos = Vec(*obj["pos"])
-            orientation = Rotation(tuple(map(tuple, obj["orientation"])))
+            nid, cid = _ints((obj["nid"], obj["component"]), "node or component id")
+            pos = Vec(*_ints(obj["pos"], "position coordinate"))
+            orientation = _rotation_from_repr(obj["orientation"], "orientation entry")
             if not is_grid_rotation(orientation, world.dimension):
                 raise SimulationError(
                     f"snapshot node {nid} has orientation "

@@ -881,7 +881,7 @@ class World:
         )
 
     # ------------------------------------------------------------------
-    # Surgery (used by orchestrated constructors; see DESIGN.md)
+    # Surgery (used by orchestrated constructors)
     # ------------------------------------------------------------------
 
     def free_singleton(self, nid: int, state: State) -> None:

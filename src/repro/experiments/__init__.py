@@ -22,8 +22,10 @@ One composable front door for every workload the library can run:
   ``repro list`` and ``EXPERIMENTS.md``.
 
 The adapters themselves live next to the code they wrap
-(``repro.<package>.scenarios``); importing this package registers all of
-them. The execution engine underneath is ``repro.core.simulator``.
+(``repro.<package>.scenarios``); the first lookup (:func:`get_scenario`,
+:func:`scenario_names`, :func:`all_scenarios`) registers all of them, so
+importing this package loads no adapter. The execution engine underneath
+is ``repro.core.simulator``.
 """
 
 from repro.experiments.registry import (
@@ -97,9 +99,3 @@ __all__ = [
     "format_scenario_list",
     "describe_scenario",
 ]
-
-# Register the built-in scenario adapters eagerly: every consumer of this
-# package (CLI, runner workers, benchmarks, tests) needs the catalogue
-# populated, and the adapter modules only touch packages the root
-# ``repro`` package imports anyway.
-load_builtin_scenarios()

@@ -241,6 +241,10 @@ def all_scenarios() -> Tuple[Scenario, ...]:
 
 
 def load_builtin_scenarios() -> None:
-    """Import every built-in adapter module (idempotent, import-cheap)."""
+    """Import every built-in adapter module (idempotent).
+
+    The first call imports the adapters and the packages they wrap, which
+    costs tens of milliseconds in a fresh interpreter; later calls cost a
+    ``sys.modules`` lookup per adapter module."""
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)

@@ -62,10 +62,10 @@ def _sweep_worker(payload: Dict) -> Dict:
 
     Serialized dicts cross the process boundary instead of live objects so
     a ``spawn``-start pool (macOS/Windows default) works exactly like
-    ``fork``: the child re-imports the registry on first use.
+    ``fork``: a spawned child registers the built-in scenarios on its first
+    lookup, while a forked one inherits the catalogue that resolving the
+    specs loaded in the parent.
     """
-    import repro.experiments  # ensure built-in scenarios are registered
-
     spec = ExperimentSpec(
         scenario=payload["scenario"],
         params=payload["params"],

@@ -7,8 +7,15 @@ Figure 7(b)), decides whether pixel ``i`` is on. Two implementations:
 * :class:`TMShapeProgram` — a genuine :class:`~repro.machines.tm.TuringMachine`
   run on the encoded input ``(i, d)``; space is metered.
 * :class:`PredicateShapeProgram` — a Python predicate with a declared space
-  bound, the documented stand-in for arbitrary TMs (DESIGN.md, fidelity
-  decisions). The *distributed* simulation machinery is identical for both.
+  bound, standing in for an arbitrary TM. This is a fidelity decision: the
+  paper's constructor runs any TM that decides a pixel within the square's
+  space, and writing every shape of the catalogue as a transition table
+  would test the tables rather than the construction. The predicate
+  answers the same pixel queries; the distributed construction charges
+  its declared space bound as interactions per decision instead of walking
+  a machine over the square's tape, as it does for a TMShapeProgram.
+  Everything else in the construction (the square, the release phase) is
+  identical for both.
 
 Concrete programs cover the paper's examples: the spanning line (Theorem
 4's worst-case waste), the star of Figure 7(c), crosses, frames, and the

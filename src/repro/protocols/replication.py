@@ -9,7 +9,7 @@ restoration with a leader walk; Protocol 5 needs no leader and detaches
 per-node by degree counting.
 
 Two *documented deviations* from the verbatim tables (both are benign
-races the tables leave open; see DESIGN.md):
+races the tables leave open):
 
 1. **Protocol 4 restore placeholder.** The paper's restore walk temporarily
    sets the walked line's left endpoint to ``e'``

@@ -24,45 +24,14 @@ CLI: ``repro record <scenario>``, ``repro replay <trace> [--to-event N]
 [--render] [--verify]``, ``repro diff <a> [<b> | --live]``, and ``repro
 goldens record|check|list``; the sweep service streams the same records
 live with ``repro submit --trace --wait``.
+
+Importing ``repro.trace`` imports none of these modules: each name in
+``__all__`` resolves on first use, importing only the module that owns
+it, so ``from repro.trace import replay_trace`` loads neither the goldens
+harness nor the candidate layer and numpy.
 """
 
-from repro.trace.diff import (
-    CLASSIFICATIONS,
-    DIFF_SCHEMA,
-    DiffResult,
-    Divergence,
-    diff_traces,
-    resimulate_from_header,
-    validate_diff_payload,
-)
-from repro.trace.encoding import (
-    CHAIN_SEED,
-    RECORD_KINDS,
-    TRACE_SCHEMA,
-    canonical_json,
-    encode_line,
-    payload_digest,
-    world_digest,
-)
-from repro.trace.goldens import (
-    GOLDENS,
-    GoldenReport,
-    GoldenSpec,
-    check_golden,
-    check_goldens,
-    golden_specs,
-    record_golden,
-    record_goldens,
-)
-from repro.trace.reader import (
-    TraceReader,
-    TraceValidator,
-    validate_trace_bytes,
-    validate_trace_file,
-)
-from repro.trace.record import record_scenario, recording
-from repro.trace.replay import ReplayResult, TraceCursor, replay_trace
-from repro.trace.writer import DEFAULT_CHECKPOINT_EVERY, TraceWriter
+from repro import _lazy_exports
 
 __all__ = [
     "CLASSIFICATIONS",
@@ -99,3 +68,29 @@ __all__ = [
     "recording",
     "record_scenario",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.trace.diff": (
+            "CLASSIFICATIONS", "DIFF_SCHEMA", "DiffResult", "Divergence",
+            "diff_traces", "resimulate_from_header", "validate_diff_payload",
+        ),
+        "repro.trace.encoding": (
+            "CHAIN_SEED", "RECORD_KINDS", "TRACE_SCHEMA", "canonical_json",
+            "encode_line", "payload_digest", "world_digest",
+        ),
+        "repro.trace.goldens": (
+            "GOLDENS", "GoldenReport", "GoldenSpec", "check_golden",
+            "check_goldens", "golden_specs", "record_golden", "record_goldens",
+        ),
+        "repro.trace.reader": (
+            "TraceReader", "TraceValidator", "validate_trace_bytes",
+            "validate_trace_file",
+        ),
+        "repro.trace.record": ("record_scenario", "recording"),
+        "repro.trace.replay": ("ReplayResult", "TraceCursor", "replay_trace"),
+        "repro.trace.writer": ("DEFAULT_CHECKPOINT_EVERY", "TraceWriter"),
+    },
+)

@@ -26,11 +26,16 @@ import json
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.protocol import Update
-from repro.core.trace import _state_from_repr, _state_repr, world_to_dict
+from repro.core.trace import (
+    _ints,
+    _rotation_from_repr,
+    _state_from_repr,
+    _state_repr,
+    world_to_dict,
+)
 from repro.core.world import Bond, Candidate, World, bond_of
 from repro.errors import TraceError
 from repro.geometry.ports import Port
-from repro.geometry.rotation import Rotation
 from repro.geometry.vec import Vec
 
 #: Schema identifier stamped into every trace header (``repro validate``
@@ -265,22 +270,33 @@ def _undecodable(record: Mapping[str, Any], exc: Exception) -> TraceError:
     return _record_error(record, f"a field does not decode ({exc})")
 
 
+def _bond_value(record: Mapping[str, Any], field: str) -> int:
+    """A bond field of a record: the model's bonds are exactly 0 and 1, so
+    anything else (``2``, ``true``, a string) is a ``ValueError``."""
+    value = record[field]
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"{field} {value!r} is not 0 or 1")
+    return value
+
+
 def candidate_from_record(record: Mapping[str, Any]) -> Candidate:
     """Rebuild the applied candidate of an event record; a missing or
-    malformed field is a :class:`TraceError` naming the record."""
+    malformed field (a non-integer node id or coordinate, a bond outside
+    {0, 1}) is a :class:`TraceError` naming the record."""
     try:
         rotation = None
         translation = None
         if record.get("rotation") is not None:
-            rotation = Rotation(tuple(map(tuple, record["rotation"])))
+            rotation = _rotation_from_repr(record["rotation"], "rotation entry")
         if record.get("translation") is not None:
-            translation = Vec(*record["translation"])
+            translation = Vec(*_ints(record["translation"], "translation coordinate"))
+        nid1, nid2 = _ints((record["nid1"], record["nid2"]), "node id")
         return Candidate(
-            record["nid1"],
+            nid1,
             _port_from_record(record["port1"], record),
-            record["nid2"],
+            nid2,
             _port_from_record(record["port2"], record),
-            record["bond"],
+            _bond_value(record, "bond"),
             rotation,
             translation,
         )
@@ -290,41 +306,57 @@ def candidate_from_record(record: Mapping[str, Any]) -> Candidate:
 
 def update_from_record(record: Mapping[str, Any]) -> Update:
     """Rebuild the applied update of an event record; a missing or
-    malformed field is a :class:`TraceError` naming the record."""
+    malformed field (an unhashable state, a bond outside {0, 1}) is a
+    :class:`TraceError` naming the record."""
     try:
         return (
             _state_from_repr(record["new_state1"]),
             _state_from_repr(record["new_state2"]),
-            record["new_bond"],
+            _bond_value(record, "new_bond"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise _undecodable(record, exc) from None
 
 
 def bond_from_record(record: Mapping[str, Any]) -> Bond:
-    """Rebuild the snapped bond of a detach record."""
-    (a, pa), (b, pb) = record["bond"]
-    return bond_of(
-        a, _port_from_record(pa, record), b, _port_from_record(pb, record)
-    )
+    """Rebuild the snapped bond of a detach record; a malformed field is a
+    :class:`TraceError` naming the record, as for an event."""
+    try:
+        (a, pa), (b, pb) = record["bond"]
+        a, b = _ints((a, b), "node id")
+        return bond_of(
+            a, _port_from_record(pa, record), b, _port_from_record(pb, record)
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _undecodable(record, exc) from None
 
 
-def state_from_record(record: Mapping[str, Any]) -> Any:
-    """Rebuild the post-excision state of an excise record."""
-    return _state_from_repr(record["state"])
+def excise_from_record(record: Mapping[str, Any]) -> Tuple[int, Any]:
+    """Rebuild an excise record: (node id, post-excision state)."""
+    try:
+        return (
+            _ints((record["nid"],), "node id")[0],
+            _state_from_repr(record["state"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _undecodable(record, exc) from None
 
 
 def move_from_record(
     record: Mapping[str, Any],
 ) -> Tuple[int, int, bool, Any, Any]:
     """Rebuild a move record: (leaf, pivot, clockwise, new states)."""
-    return (
-        record["leaf"],
-        record["pivot"],
-        bool(record["clockwise"]),
-        _state_from_repr(record["new_leaf_state"]),
-        _state_from_repr(record["new_pivot_state"]),
-    )
+    try:
+        leaf, pivot = _ints((record["leaf"], record["pivot"]), "node id")
+        return (
+            leaf,
+            pivot,
+            bool(record["clockwise"]),
+            _state_from_repr(record["new_leaf_state"]),
+            _state_from_repr(record["new_pivot_state"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _undecodable(record, exc) from None
 
 
 def rotation_translation(

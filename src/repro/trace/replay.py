@@ -33,8 +33,8 @@ from repro.geometry.rotation import is_grid_rotation
 from repro.trace.encoding import (
     bond_from_record,
     candidate_from_record,
+    excise_from_record,
     move_from_record,
-    state_from_record,
     update_from_record,
     world_digest,
 )
@@ -100,10 +100,21 @@ class TraceCursor:
             # exactly as live injection does (repro.faults.injection).
             from repro.faults.injection import break_bond
 
-            break_bond(self.world, bond_from_record(record))
+            bond = bond_from_record(record)
+            nids = sorted(nid for nid, _port in bond)
+            if any(nid not in self.world.nodes for nid in nids):
+                raise TraceError(
+                    f"replay detach {record['index']}: unknown node ids {nids}"
+                )
+            break_bond(self.world, bond)
             self.applied += 1
         elif kind == "excise":
-            self.world.free_singleton(record["nid"], state_from_record(record))
+            nid, state = excise_from_record(record)
+            if nid not in self.world.nodes:
+                raise TraceError(
+                    f"replay excise {record['index']}: unknown node id {nid}"
+                )
+            self.world.free_singleton(nid, state)
             self.applied += 1
         elif kind == "checkpoint":
             self._on_checkpoint(record)

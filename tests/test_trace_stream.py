@@ -29,6 +29,7 @@ from repro.faults.injection import FaultySimulation
 from repro.geometry.vec import Vec
 from repro.protocols.line import spanning_line_protocol
 from repro.trace import (
+    TraceCursor,
     TraceReader,
     TraceWriter,
     record_scenario,
@@ -42,11 +43,15 @@ from repro.trace.encoding import (
     bond_from_record,
     chain_advance,
     encode_line,
+    excise_from_record,
+    header_record,
+    move_from_record,
     payload_digest,
 )
 from repro.trace.reader import validate_trace_file
 
 SCHEDULERS = ("hot", "enumerate", "rejection", "round-robin")
+GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"
 
 
 def record_line_run(path, n, seed, scheduler="hot", checkpoint_every=8):
@@ -524,8 +529,44 @@ class TestDecodersFailClosed:
             (lambda r: r.pop("nid2"), "no 'nid2' field"),
             (lambda r: r.update(translation=[1]), "a field does not decode"),
             (lambda r: r.pop("new_state1"), "no 'new_state1' field"),
+            (
+                lambda r: r.update(nid1=[1]),
+                r"a field does not decode \(node id \[1\] is not an integer\)",
+            ),
+            (
+                lambda r: r.update(rotation=[[[1]]]),
+                r"a field does not decode "
+                r"\(rotation entry \[1\] is not an integer\)",
+            ),
+            (
+                lambda r: r.update(new_state1={"a": 1}),
+                r"a field does not decode \(state \{'a': 1\} is not hashable\)",
+            ),
+            (
+                lambda r: r.update(translation=["a", "b", "c"]),
+                r"a field does not decode "
+                r"\(translation coordinate 'a' is not an integer\)",
+            ),
+            (
+                lambda r: r.update(new_bond=2),
+                r"a field does not decode \(new_bond 2 is not 0 or 1\)",
+            ),
+            (
+                lambda r: r.update(new_bond="x"),
+                r"a field does not decode \(new_bond 'x' is not 0 or 1\)",
+            ),
         ],
-        ids=["no-nid2", "short-translation", "no-new-state1"],
+        ids=[
+            "no-nid2",
+            "short-translation",
+            "no-new-state1",
+            "list-nid1",
+            "nested-rotation",
+            "dict-new-state1",
+            "string-translation",
+            "new-bond-2",
+            "string-new-bond",
+        ],
     )
     def test_malformed_event_field(self, tmp_path, capsys, edit, message):
         forged, index = self._forge(tmp_path, edit)
@@ -570,8 +611,19 @@ class TestDecodersFailClosed:
                 lambda s: s.update(nodes=len(s["nodes"])),
                 "node list does not decode",
             ),
+            (
+                lambda s: s["nodes"][1].update(pos=["a", "b", "c"]),
+                "node entry 1 does not decode "
+                r"\(position coordinate 'a' is not an integer\)",
+            ),
         ],
-        ids=["bond-unknown-node", "no-orientation", "long-pos", "nodes-not-list"],
+        ids=[
+            "bond-unknown-node",
+            "no-orientation",
+            "long-pos",
+            "nodes-not-list",
+            "string-pos",
+        ],
     )
     def test_malformed_header_snapshot(self, tmp_path, capsys, edit, message):
         forged, _index = self._forge(tmp_path, edit, header=True)
@@ -583,6 +635,74 @@ class TestDecodersFailClosed:
         record = {"kind": "detach", "index": 4, "bond": [[0, "zz"], [1, "r"]]}
         with pytest.raises(TraceError, match="detach record at index 4"):
             bond_from_record(record)
+
+    @pytest.mark.parametrize(
+        "decode,record,message",
+        [
+            (
+                bond_from_record,
+                {"kind": "detach", "index": 4, "bond": [[[0], "r"], [1, "l"]]},
+                r"node id \[0\] is not an integer",
+            ),
+            (
+                excise_from_record,
+                {"kind": "excise", "index": 4, "nid": 1, "state": {"a": 1}},
+                r"state \{'a': 1\} is not hashable",
+            ),
+            (
+                move_from_record,
+                {
+                    "kind": "move",
+                    "index": 4,
+                    "leaf": "x",
+                    "pivot": 1,
+                    "clockwise": True,
+                    "new_leaf_state": "a",
+                    "new_pivot_state": "b",
+                },
+                "node id 'x' is not an integer",
+            ),
+        ],
+        ids=["detach-list-node", "excise-dict-state", "move-string-leaf"],
+    )
+    def test_malformed_fault_or_move_record(self, decode, record, message):
+        with pytest.raises(
+            TraceError,
+            match=f"{record['kind']} record at index 4: a field does not "
+            rf"decode \({message}\)",
+        ):
+            decode(record)
+
+    @pytest.mark.parametrize(
+        "node,message",
+        [
+            ([1], r"a field does not decode \(node id \[1\] is not an integer\)"),
+            (999, r"replay detach \d+: unknown node ids \[\d+, 999\]"),
+        ],
+        ids=["list-node", "unknown-node"],
+    )
+    def test_forged_detach_record(self, tmp_path, capsys, node, message):
+        """The first detach of the faults golden, re-chained, is refused
+        on a full replay (the default seek passes over it)."""
+        records = [
+            json.loads(line)
+            for line in (GOLDENS_DIR / "faults.trace").read_bytes().splitlines()
+        ]
+        next(r for r in records if r["kind"] == "detach")["bond"][0][0] = node
+        forged = tmp_path / "forged.trace"
+        forged.write_bytes(_rechain(records))
+        assert validate_trace_bytes(forged.read_bytes()) == []
+        with pytest.raises(TraceError, match=message):
+            replay_trace(forged, verify=True, use_checkpoints=False)
+        assert main(["replay", str(forged), "--verify", "--no-seek"]) == 2
+        assert "repro: error:" in capsys.readouterr().err
+
+    def test_excise_of_an_unknown_node(self):
+        cursor = TraceCursor()
+        world = World.of_free_nodes(3, spanning_line_protocol(), leaders=1)
+        cursor.feed(header_record(world))
+        with pytest.raises(TraceError, match="replay excise 1: unknown node id 999"):
+            cursor.feed({"kind": "excise", "index": 1, "nid": 999, "state": "q0"})
 
     @pytest.mark.parametrize(
         "matrix",
