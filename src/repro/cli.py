@@ -19,7 +19,7 @@ commands are *generated* from the registered scenarios —
   checkpoints, digest hash chain);
 * ``replay <trace>`` — reconstruct any intermediate world bit-exactly
   (``--to-event N`` seeks from the nearest checkpoint anchor;
-  ``--verify`` recomputes every digest it passes);
+  ``--verify`` replays from the header and recomputes every digest);
 * ``diff <a> [<b> | --live]`` — stream two traces in lockstep and report
   the first diverging event (``repro.trace.diff/v1``: classification,
   both records, decoded neighborhood); ``--live`` re-simulates side b
@@ -383,11 +383,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     trace = TraceReader.load(args.path)
     print(trace.describe())
+    # A verified replay starts from the header, so every record and
+    # checkpoint is applied and checked; only an unverified view seeks.
     res = replay_trace(
         trace,
         to_event=args.to_event,
         verify=args.verify,
-        use_checkpoints=not args.no_seek,
+        use_checkpoints=not (args.no_seek or args.verify),
     )
     bits = [
         f"seek start {res.start_events}",
@@ -1052,7 +1054,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--verify", action="store_true",
-        help="recompute the world digest against every anchor passed",
+        help=(
+            "replay from the header, recomputing the world digest against "
+            "every anchor"
+        ),
     )
     p.add_argument(
         "--render", action="store_true",
@@ -1060,7 +1065,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-seek", action="store_true",
-        help="replay from the header instead of seeking to a checkpoint",
+        help=(
+            "replay from the header instead of seeking to a checkpoint "
+            "(implied by --verify)"
+        ),
     )
     p.set_defaults(func=_cmd_replay)
 

@@ -131,6 +131,7 @@ from repro.core.world import (
     MoveRecord,
     SplitRecord,
     World,
+    bond_of,
 )
 from repro.geometry.packed import (
     orientation_port_deltas,
@@ -220,7 +221,10 @@ def iter_intra_candidates(
 
     The (at most one per port) grid-adjacent pairs, probed on the packed
     occupancy of the component's geometry snapshot and pruned by the same
-    hot/pair/static-effectiveness gates as the inter axis. Shared by the
+    hot/pair/static-effectiveness gates as the inter axis. The neighbour's
+    facing port is read from its packed port deltas and the bond from one
+    probe of the component's bond set (:meth:`World.intra_candidate`
+    derives the same candidate from ``Vec`` arithmetic). Shared by the
     brute-force enumeration and the cache (whose batch kernels vectorize
     only the population-sized inter axis — a node has at most ``|ports|``
     intra candidates, so the scalar probe is already minimal).
@@ -235,24 +239,28 @@ def iter_intra_candidates(
     ppos = geom.pos_of[nid]
     deltas = orientation_port_deltas(rec.orientation)
     for i, port in enumerate(world.ports):
-        other = geom.cells.get(ppos + deltas[i])
+        delta = deltas[i]
+        other = geom.cells.get(ppos + delta)
         if other is None:
             continue
-        other_sid = nodes[other].sid
+        other_rec = nodes[other]
+        other_sid = other_rec.sid
         if not (nid_hot or program.is_hot_id(other_sid)):
             continue
         if not program.pair_can_fire(sid, other_sid):
             continue
-        a, b = (nid, other) if nid < other else (other, nid)
-        cand = world.intra_candidate(a, b)
-        if cand is None:
-            continue
+        j = orientation_port_deltas(other_rec.orientation).index(-delta)
+        other_port = PORTS_3D[j]
+        bond = int(bond_of(nid, port, other, other_port) in comp.bonds)
         if not (
-            program.can_fire(nodes[a].sid, PORT_INDEX[cand.port1], cand.bond)
-            and program.can_fire(nodes[b].sid, PORT_INDEX[cand.port2], cand.bond)
+            program.can_fire(sid, i, bond)
+            and program.can_fire(other_sid, j, bond)
         ):
             continue  # statically ineffective: no rule has these endpoints
-        yield cand
+        if nid < other:
+            yield Candidate(nid, port, other, other_port, bond)
+        else:
+            yield Candidate(other, other_port, nid, port, bond)
 
 
 def iter_node_candidates(
@@ -370,8 +378,7 @@ def _some_pair_can_fire(
     program: CompiledProgram, host_sids: List[int], guest_sids: List[int]
 ) -> bool:
     """Whether some (host state, guest state) pair passes the hot and pair
-    gates, asked host first (:class:`~repro.core.program.MemoProgram`
-    answers ``pair_can_fire`` as asked)."""
+    gates."""
     for a in host_sids:
         hot_a = program.is_hot_id(a)
         for b in guest_sids:
@@ -588,8 +595,8 @@ class EffectiveCandidateCache:
             # orders rows exactly as its (hi, lo) sort key does: both keys
             # lead with (nid1, port1, nid2, port2), after which the bond
             # is fixed by the endpoints and an inter row's rotation fixes
-            # its translation. The store and the inter chunk are already
-            # sorted runs, which the stable sort merges in linear time.
+            # its translation. The store is one sorted run; the new chunks
+            # arrive in kernel order, and the stable sort merges them in.
             order = key_from_sort_key(his, los).argsort(kind="stable")
             self._d_hi, self._d_lo = his[order], los[order]
             self._d_cols = None
@@ -669,12 +676,13 @@ class EffectiveCandidateCache:
         """Regenerate entries for a batch of dirty nodes as array chunks.
 
         The population-sized inter axis runs on the batch kernels
-        (:meth:`BatchContext.inter_rows`): every gated permissible row is
-        one evaluated candidate, deduplicated by identity key and counted
-        whether effective or not, and rows flagged ineffective (possible
-        only for a handler-lowered program, whose hints over-approximate)
-        are then dropped. Intra candidates (at most ``|ports|`` per node)
-        stay scalar. Only the ``(hi, lo)`` sort keys are kept.
+        (:meth:`BatchContext.inter_rows`), which evaluate every gated
+        permissible row once and hand over the effective ones as
+        ``(his, los)`` chunks with the number of rows evaluated; the
+        counts are summed here (a handler-lowered program's ineffective
+        rows are counted but never emitted). Intra candidates (at most
+        ``|ports|`` per node) stay scalar. Only the ``(hi, lo)`` sort keys
+        are kept.
         """
         live = [nid for nid in nids if nid in world.nodes]
         if not live:
@@ -683,23 +691,16 @@ class EffectiveCandidateCache:
         sink: List[tuple] = []
         self._batch.inter_rows(live, sink)
         if sink:
-            # Column by column, each column's chunks freed once joined: a
-            # rebuild's sink holds every inter row of the world.
-            cols = list(zip(*sink))
-            sink.clear()
-            keys, his, los, effective = [
-                np.concatenate(cols.pop(0)) for _ in range(4)
-            ]
-            ui = np.unique(keys, return_index=True)[1]
-            evals = len(ui)
+            evals = 0
+            for his, los, evaluated in sink:
+                evals += evaluated
+                if len(his):
+                    self._d_new.append((his, los))
+                    self._sorted = None
             self.evaluations += evals
             sched = getattr(evaluate, "__self__", None)
             if sched is not None:
                 sched.evaluations += evals
-            ui = ui[effective[ui]]
-            if len(ui):
-                self._d_new.append((his[ui], los[ui]))
-                self._sorted = None
         seen: Set[CandidateKey] = set()
         irows: List[Tuple[int, int]] = []
         for nid in live:

@@ -29,11 +29,14 @@ every oriented port hint, node pair and alignment rotation:
    (:func:`rotate_by_code`); singleton placements need no probe, and
    multi-cell ones are probed per rotation code in blocks of at most
    :data:`PROBE_BUDGET` elements;
-3. *transition dispatch* — one ``lookup`` per hint that kept a row
-   decides all of that hint's rows, which carry the answer as one bool
-   "effective" flag each; per-candidate dispatch collapses into array
-   arithmetic feeding the scheduler's canonical sort (the update itself
-   is looked up again only for an entry the scheduler reads).
+3. *transition dispatch* — none for an exact rule table, whose gates are
+   complete, so every surviving row is effective; a handler-lowered
+   program (``exact = False``) gets one ``lookup`` per hint that kept a
+   row, which decides all of that hint's rows, and its ineffective rows
+   are counted and dropped in the kernel. Each permissible row is emitted
+   exactly once, as the ``(hi, lo)`` sort key the store keeps, in chunks
+   of ``(his, los, evaluated)`` (the update itself is looked up only for
+   an entry the scheduler reads).
 
 numpy is a required dependency: this is the only candidate backend.
 
@@ -493,7 +496,7 @@ _HINT_COLUMNS: Dict[tuple, tuple] = {}
 
 def _hint_columns(hints):
     """A program's oriented hint tuple as aligned arrays: port indexes
-    ``p1``/``p2`` and the port bits of the identity and sort keys.
+    ``p1``/``p2`` and the port bits of the sort key's ``hi`` half.
 
     Memoized per hint tuple, like the packed rotation tables: the arrays
     are a pure function of the tuple, so every world and program may
@@ -503,11 +506,8 @@ def _hint_columns(hints):
     if cols is None:
         p1 = np.array([a for a, _ in hints], dtype=np.intp)
         p2 = np.array([b for _, b in hints], dtype=np.intp)
-        r1 = _RANKS[p1]
-        r2 = _RANKS[p2]
-        kbase = (r1 << K_P1_SHIFT) | (r2 << K_P2_SHIFT)
-        hbase = (r1 << H_P1_SHIFT) | (r2 << H_P2_SHIFT)
-        cols = _HINT_COLUMNS[hints] = (p1, p2, kbase, hbase)
+        hbase = (_RANKS[p1] << H_P1_SHIFT) | (_RANKS[p2] << H_P2_SHIFT)
+        cols = _HINT_COLUMNS[hints] = (p1, p2, hbase)
     return cols
 
 
@@ -540,13 +540,13 @@ class BatchContext:
 
     Built by the candidate cache on every refresh, for a world bound to
     its protocol's compiled program. The program's gates (hot state, pair,
-    oriented bond-0 port hints) decide which inter rows are generated, and
-    one ``lookup`` per port-pair hint decides whether every row of that
-    hint is effective. For an exact program the hints are a complete
-    static-effectiveness filter, so every row is effective; a
-    handler-lowered program's hints only over-approximate, so a hint's
-    update may be ``None`` — the cache counts those rows as evaluations
-    and then drops them.
+    oriented bond-0 port hints) decide which inter rows are generated. For
+    an exact program the hints are a complete static-effectiveness
+    filter, so every row is effective and no ``lookup`` runs. A
+    handler-lowered program's (``exact = False``) hints only
+    over-approximate, so one ``lookup`` per port-pair hint decides whether
+    every row of that hint is effective; the kernel counts the rows of an
+    ineffective hint as evaluations and does not emit them.
 
     The context carries a *global tagged occupancy*: each component gets a
     dense index (rank of its cid), and every node contributes the tag
@@ -556,17 +556,17 @@ class BatchContext:
     batch across all partner components of a whole dirty component at
     once, instead of one numpy call per (node, partner component) pair.
 
-    :meth:`inter_rows` emits, for a batch of dirty nodes, exactly the
+    :meth:`inter_rows` evaluates, for a batch of dirty nodes, exactly the
     gated permissible inter candidates that
-    :func:`repro.core.candidates.iter_node_candidates` enumerates — as
-    flat ``(keys, his, los, effective)`` array chunks, never materializing
-    per-candidate Python objects (the store keeps ``(hi, lo)``;
-    ``candidate_from_row`` rebuilds a :class:`Candidate` only when the
-    scheduler reads one). Each (dirty component and state, partner
-    state) group is one broadcast over every hint, node pair and
-    alignment rotation (:meth:`_place`). Intra candidates are not handled
-    here: a node has at most ``|ports|`` of them, and the scalar probe is
-    already minimal.
+    :func:`repro.core.candidates.iter_node_candidates` enumerates, each
+    once, and emits the effective ones as flat ``(his, los, evaluated)``
+    chunks in the store's own ``(hi, lo)`` columns, never materializing
+    per-candidate Python objects (``candidate_from_row`` rebuilds a
+    :class:`Candidate` only when the scheduler reads one). Each (dirty
+    component and state, partner state) group is one broadcast over every
+    hint, node pair and alignment rotation (:meth:`_place`). Intra
+    candidates are not handled here: a node has at most ``|ports|`` of
+    them, and the scalar probe is already minimal.
     """
 
     __slots__ = (
@@ -605,26 +605,31 @@ class BatchContext:
     def inter_rows(self, nids, sink) -> None:
         """Emit inter entry rows for a batch of live dirty nodes.
 
-        ``sink`` receives non-empty ``(keys, his, los, effective)`` array
-        chunks: int64 identity and sort keys, and a bool per row saying
-        whether its ``lookup`` is effective — ``False`` only for a
-        handler-lowered hint that turned out ineffective. Rows are unique
-        within one call except when *both* endpoints of a pair are dirty
-        (each side emits it once) — the caller dedups by key, which is
-        also how it counts one evaluation per candidate.
+        ``sink`` receives ``(his, los, evaluated)`` chunks: the int64 sort
+        key halves of the chunk's effective rows and the number of
+        permissible rows the chunk evaluated. The two differ only for a
+        handler-lowered program, whose ineffective rows are counted but
+        not emitted, so a chunk may hold zero rows and a positive count.
 
-        Grouping: dirty nodes by component, then by state. The hot /
-        pair-can-fire gates run once per state pair (kernel 1); the
-        member-array masks below them replace per-node probes. Partners
-        in components with a larger cid are placed into the dirty
-        component's frame, the others host it (canonical orientation:
-        the smaller cid holds ``nid1``).
+        Every row is emitted exactly once per call. Grouping: dirty nodes
+        by component, then by state. The hot / pair-can-fire gates run
+        once per state pair (kernel 1); the member-array masks below them
+        replace per-node probes. Partners in components with a larger cid
+        are placed into the dirty component's frame, the others host it
+        (canonical orientation: the smaller cid holds ``nid1``). A partner
+        that is itself in the batch is placed only from the lower-cid
+        side, so the host branch skips dirty partners. That rests on the
+        gates asking about the unordered state pair: ``pair_can_fire`` is
+        a function of it (see ``Protocol.pair_compatible``), and both
+        sides ask for the hints of the same (host, guest) state pair.
         """
         idx = self.idx
         world = self.world
         program = self.program
         is_hot = program.is_hot_id
         nid_arr = np.fromiter(nids, dtype=np.int64, count=len(nids))
+        in_batch = np.zeros(len(idx.cid), dtype=bool)
+        in_batch[nid_arr] = True
         my_cids = idx.cid[nid_arr]
         for cid in np.unique(my_cids).tolist():
             dn_comp = nid_arr[my_cids == cid]
@@ -653,6 +658,7 @@ class BatchContext:
                     if len(g):
                         self._place(dn, g, sid, partner_sid, geom, True, sink)
                     h = members[~guests]
+                    h = h[~in_batch[h]]
                     if len(h):
                         self._place(h, dn, partner_sid, sid, geom, False, sink)
 
@@ -676,16 +682,21 @@ class BatchContext:
         * kernel 2, collisions: only multi-cell placements can collide
           (a singleton's one cell lands on the open target), probed per
           rotation code in blocks (:meth:`_probe`);
-        * kernel 3, dispatch: one ``lookup`` per hint that kept a row —
-          so a handler only sees interactions that can actually occur —
-          whose answer becomes the "effective" flag of the hint's rows.
+        * kernel 3, dispatch: an exact program's hints are complete, so
+          every row that survives is effective and nothing is looked up.
+          Only a handler-lowered program (``exact = False``) gets one
+          ``lookup`` per hint that kept a row — so a handler only sees
+          interactions that can actually occur — and the rows of a hint
+          it finds ineffective are dropped here.
 
-        The chunk is ``(keys, his, los, effective)``, one entry per row.
+        The chunk is ``(his, los, evaluated)``: the sort key halves of the
+        effective rows and the number of rows that survived the geometry.
         """
-        hints = self.program.oriented_hints(hsid, gsid)
+        program = self.program
+        hints = program.oriented_hints(hsid, gsid)
         if not hints:
             return
-        p1, p2, kbase, hbase = _hint_columns(hints)
+        p1, p2, hbase = _hint_columns(hints)
         idx = self.idx
         horient = idx.orient[hosts]
         htag = self.node_tag[hosts]
@@ -719,33 +730,22 @@ class BatchContext:
                 ok, ok, codes, trans, htag[slot][:, None, None], geom,
                 pull_back=False,
             )
-        kept = hint[ok.any(axis=(1, 2))]
-        if not len(kept):
+        evaluated = int(np.count_nonzero(ok))
+        if not evaluated:
             return
-        effective = np.zeros(len(hints), dtype=bool)
-        lookup = self.program.lookup
-        for k in np.unique(kept).tolist():
-            a, b = hints[k]
-            effective[k] = lookup(hsid, a, gsid, b, 0) is not None
-        hn = hosts[slot]
-        keys = (
-            ((hn << K_NID1_SHIFT) | kbase[hint])[:, None, None]
-            + (guests << K_NID2_SHIFT)[:, None]
-            + codes
-        )
+        if not program.exact:
+            effective = np.zeros(len(hints), dtype=bool)
+            for k in np.unique(hint[ok.any(axis=(1, 2))]).tolist():
+                a, b = hints[k]
+                effective[k] = program.lookup(hsid, a, gsid, b, 0) is not None
+            ok &= effective[hint][:, None, None]
         his = (
-            ((hn << H_NID1_SHIFT) | hbase[hint])[:, None]
+            ((hosts[slot] << H_NID1_SHIFT) | hbase[hint])[:, None]
             + (guests << H_NID2_SHIFT)
         )[:, :, None]
         los = (codes << L_ROT_SHIFT) + trans + PACKED_ORIGIN
-        shape = codes.shape
         sink.append(
-            (
-                keys[ok],
-                np.broadcast_to(his, shape)[ok],
-                los[ok],
-                np.broadcast_to(effective[hint][:, None, None], shape)[ok],
-            )
+            (np.broadcast_to(his, codes.shape)[ok], los[ok], evaluated)
         )
 
     def _probe(self, ok, sel, codes, trans, tags, geom, *, pull_back) -> None:

@@ -41,11 +41,12 @@ Every program answers the same gate questions (:meth:`CompiledProgram.
 is_hot_id`, :meth:`~CompiledProgram.pair_can_fire`,
 :meth:`~CompiledProgram.oriented_hints`, :meth:`~CompiledProgram.can_fire`),
 and the columnar batch kernels (:mod:`repro.core.columnar`) consume them
-on interned ids: the per-node ``sid`` column, per-state-pair gates, and
-one :meth:`~CompiledProgram.lookup` per ``(state pair, port pair)`` group.
-For an exact program every hinted row is effective; for a
-:class:`MemoProgram` the group's memoized update may be ``None``, and the
-candidate cache drops those rows after counting their evaluations.
+on interned ids: the per-node ``sid`` column and per-state-pair gates.
+For an exact program every hinted row is effective, so the kernels never
+dispatch; for a :class:`MemoProgram` they make one
+:meth:`~CompiledProgram.lookup` per ``(state pair, port pair)`` group,
+whose memoized update may be ``None``, and drop those rows after counting
+their evaluations.
 """
 
 from __future__ import annotations
@@ -493,7 +494,12 @@ class MemoProgram(CompiledProgram):
         return True  # not closed-world: no endpoint is provably dead
 
     def pair_can_fire(self, sid1: int, sid2: int) -> bool:
-        """``protocol.pair_compatible`` on the decoded states, as asked."""
+        """``protocol.pair_compatible`` on the decoded states, asked and
+        memoized once per unordered pair (smaller sid first), as the
+        exact program orders it: the hint is a function of the unordered
+        pair, and the batch kernel emits a pair from one side only."""
+        if sid1 > sid2:
+            sid1, sid2 = sid2, sid1
         key = (sid1 << STATE_BITS) | sid2
         ok = self._compatible.get(key)
         if ok is None:
@@ -514,7 +520,7 @@ class MemoProgram(CompiledProgram):
                 hints = self._all_hints
             else:
                 hints = tuple(
-                    sorted((PORT_INDEX[p1], PORT_INDEX[p2]) for p1, p2 in ports)
+                    sorted({(PORT_INDEX[p1], PORT_INDEX[p2]) for p1, p2 in ports})
                 )
             self._port_hints[key] = hints
         return hints

@@ -218,6 +218,11 @@ def replay_trace(
     checkpoint passed are recomputed against their recorded digests, and —
     when the target is the end of the trace — so is the final world
     digest; any mismatch raises :class:`TraceError`.
+
+    A seek replay verifies only the anchor's round trip and the tail after
+    it: records before the anchor are never applied or checked. Pass
+    ``use_checkpoints=False`` to replay and verify every record from the
+    header (``repro replay --verify`` does).
     """
     if not isinstance(trace, TraceReader):
         trace = TraceReader.load(trace)

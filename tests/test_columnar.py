@@ -8,9 +8,10 @@ Pins the invariants the batch kernels rest on:
   identity key is recovered from the sort key alone;
 * ``rotate_by_code`` / ``in_sorted`` agree with their scalar definitions;
 * ``ColumnarIndex`` stays coherent with the dict world through merges;
-* the batch kernel emits exactly the oracle's inter candidates, flags
-  each one's effectiveness as ``evaluate`` decides it, and dispatches a
-  handler only on LHSs that have a permissible row;
+* the batch kernel emits each of the oracle's effective inter candidates
+  exactly once, counts every permissible one, never looks up an exact
+  table, and dispatches a handler only on LHSs that have a permissible
+  row;
 * the cache's view, which derives each entry from its ``(hi, lo)`` row on
   read, behaves as the reference list and never evaluates or dispatches
   anew when read;
@@ -37,6 +38,7 @@ from repro.core.candidates import (
     iter_node_candidates,
     reference_effective_candidates,
 )
+from repro.core.program import CompiledProgram
 from repro.core.protocol import AgentProtocol, Rule, RuleProtocol
 from repro.core.scheduler import HotScheduler, evaluate
 from repro.core.simulator import Simulation
@@ -258,19 +260,20 @@ def glued_world(dimension: int, n: int, events: int, seed: int) -> World:
 
 
 def kernel_rows(world, protocol, nids):
-    """``{key: (key, hi, lo, effective)}`` of one ``inter_rows`` call."""
+    """The ``(hi, lo)`` rows one ``inter_rows`` call emits, in emission
+    order, and the summed count of rows it evaluated."""
     program = bound_program(world, protocol)
     idx = columnar.get_index(world)
     idx.sync()
     sink = []
     columnar.BatchContext(world, protocol, program, idx).inter_rows(nids, sink)
-    rows = {}
-    for chunk in sink:
-        for row in zip(*(col.tolist() for col in chunk)):
-            # A pair with both endpoints dirty is emitted from each side:
-            # identically.
-            assert rows.setdefault(row[0], row) == row
-    return rows
+    rows, evaluated = [], 0
+    for his, los, count in sink:
+        assert his.dtype == los.dtype == np.int64
+        assert len(his) == len(los) <= count
+        rows += zip(his.tolist(), los.tolist())
+        evaluated += count
+    return rows, evaluated
 
 
 def oracle_rows(world, protocol, nids):
@@ -293,26 +296,44 @@ def test_kernel_rows_match_oracle(
 ):
     # A tiny probe budget splits every collision probe into blocks.
     monkeypatch.setattr(columnar, "PROBE_BUDGET", budget)
+    # Record every exact-table lookup (MemoProgram has its own).
+    looked_up: list = []
+    table_lookup = CompiledProgram.lookup
+
+    def recording_lookup(self, *lhs):
+        looked_up.append(lhs)
+        return table_lookup(self, *lhs)
+
+    monkeypatch.setattr(CompiledProgram, "lookup", recording_lookup)
     world = glued_world(dimension, n, events, seed)
     nodes = sorted(world.nodes)
     for nids in (nodes, nodes[::3]):
         asked: list = []
         twin = gluing_handler_protocol(dimension, asked)
         for protocol in (gluing_protocol(dimension), twin):
+            looked_up.clear()
+            rows, evaluated = kernel_rows(world, protocol, nids)
+            if protocol is twin:
+                kernel_asked = set(asked)
+            else:
+                # An exact table's rows are effective by construction.
+                assert looked_up == []
+            # Each row once, also when both endpoints are in the batch.
+            assert len(set(rows)) == len(rows)
             want = oracle_rows(world, protocol, nids)
-            got = kernel_rows(world, protocol, nids)
-            assert {key: row[:3] for key, row in got.items()} == want
-            flags = set()
-            for key, hi, lo, effective in got.values():
+            effective = set()
+            for key, hi, lo in want.values():
                 cand = columnar.candidate_from_row(key, hi, lo)
-                update = evaluate(protocol, world, cand)
-                assert effective == (update is not None)
-                flags.add(effective)
-            # Every exact-table row is effective; the handler twin's
-            # all-port hints also emit rows it then finds ineffective.
-            assert flags == ({True, False} if protocol is twin else {True})
+                if evaluate(protocol, world, cand) is not None:
+                    effective.add((hi, lo))
+            assert set(rows) == effective
+            # Every permissible row is counted; every exact-table row is
+            # effective, while the handler twin's all-port hints also
+            # evaluate rows it then finds ineffective.
+            assert evaluated == len(want)
+            assert (len(effective) < len(want)) == (protocol is twin)
         # The handler was asked about each LHS with a permissible row, and
-        # only those (the update checks above hit its memo).
+        # only those.
         lhs = set()
         for row in want.values():
             cand = columnar.candidate_from_row(*row)
@@ -322,7 +343,7 @@ def test_kernel_rows_match_oracle(
                     world.state_of(cand.nid2), cand.port2, cand.bond,
                 )
             )
-        assert lhs and set(asked) == lhs
+        assert lhs and kernel_asked == lhs
     # A singleton partner keeps every alignment of an open slot: R = 4
     # rotations of one (node, port, node, port) in 3D, one in 2D.
     per_pair = Counter(hi for _key, hi, _lo in want.values())

@@ -3,7 +3,8 @@
 The packed kernel (``repro.geometry.packed`` + the rewritten ``World``
 methods) must have *exactly* the support of the pre-refactor geometry: same
 open slots, same adjacent pairs, same collision-free alignments, same
-candidate enumeration. This module keeps a frozen pure-``Vec`` copy of the
+candidate enumeration, and the candidate layer's intra probe yields the
+same intra candidates. This module keeps a frozen pure-``Vec`` copy of the
 original implementation — no packing, no memoized lookup tables, no
 version-keyed caches — and drives randomized 2D and 3D worlds (free nodes
 glued into rotated multi-cell components by real scheduler events, plus
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import Rule, RuleProtocol
+from repro.core.candidates import iter_intra_candidates
+from repro.core.protocol import AgentProtocol, Rule, RuleProtocol
 from repro.core.simulator import Simulation
 from repro.core.world import Candidate, World
 from repro.faults.injection import break_random_bond
@@ -161,6 +163,26 @@ def _assert_world_matches_reference(world):
     assert got == want
     # And the counting fast path agrees with the support size.
     assert world.candidate_count() == len(want)
+    # The candidate layer's packed intra probe, under a handler whose gates
+    # pass everything, yields at every node each grid neighbour's pair,
+    # bonded or not, as the reference derives it. Binding the handler
+    # re-keys the world's state ids; the original binding is restored.
+    space = world.space
+    open_gates = AgentProtocol(lambda view: None, dimension=world.dimension)
+    units = [
+        d for u in _ref_positive_units(world.dimension) for d in (u, -u)
+    ]
+    for nid, rec in world.nodes.items():
+        cells = world.components[rec.component_id].cells
+        neighbours = [cells.get(rec.pos + d) for d in units]
+        assert sorted(
+            _cand_id(c) for c in iter_intra_candidates(world, open_gates, nid)
+        ) == sorted(
+            _cand_id(ref_intra_candidate(world, min(nid, o), max(nid, o)))
+            for o in neighbours
+            if o is not None
+        ), nid
+    world.adopt_space(space)
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

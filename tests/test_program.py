@@ -225,6 +225,23 @@ def test_memo_program_lowers_and_caches_handler_transitions():
     assert program.rule_count == 1
 
 
+def test_memo_pair_gate_answers_the_unordered_pair():
+    # The batch kernel places a pair whose endpoints are both dirty from
+    # one side only, so the gate must not depend on which endpoint asks:
+    # an asymmetric ``compatible`` is asked once per unordered pair,
+    # smaller state id first, as the exact program orders the pair.
+    asked = []
+
+    def compatible(state1, state2):
+        asked.append((state1, state2))
+        return (state1, state2) == ("a", "b")
+
+    program = AgentProtocol(lambda view: None, compatible=compatible).program
+    a, b = (program.space.intern(s) for s in ("a", "b"))
+    assert program.pair_can_fire(b, a) is program.pair_can_fire(a, b) is True
+    assert asked == [("a", "b")]
+
+
 # ----------------------------------------------------------------------
 # World interning
 # ----------------------------------------------------------------------

@@ -683,7 +683,8 @@ class TestDecodersFailClosed:
     )
     def test_forged_detach_record(self, tmp_path, capsys, node, message):
         """The first detach of the faults golden, re-chained, is refused
-        on a full replay (the default seek passes over it)."""
+        on a full replay (a library seek passes over it), which is what
+        the CLI's ``--verify`` runs, with or without ``--no-seek``."""
         records = [
             json.loads(line)
             for line in (GOLDENS_DIR / "faults.trace").read_bytes().splitlines()
@@ -696,6 +697,7 @@ class TestDecodersFailClosed:
             replay_trace(forged, verify=True, use_checkpoints=False)
         assert main(["replay", str(forged), "--verify", "--no-seek"]) == 2
         assert "repro: error:" in capsys.readouterr().err
+        self._refused_at_cli(forged, capsys)
 
     def test_excise_of_an_unknown_node(self):
         cursor = TraceCursor()
