@@ -36,19 +36,38 @@ def print_table(title: str, header: str, rows) -> None:
         print(row)
 
 
+#: The files the benches rewrite themselves, as exclude pathspecs anchored
+#: at the repository top: rewriting them does not make a tree dirty.
+SELF_WRITTEN = (
+    ":(top,exclude,glob)benchmarks/BENCH_*.json",
+    ":(top,exclude)benchmarks/history.jsonl",
+)
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args],
+        cwd=BENCH_DIR,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=30,
+    ).stdout.strip()
+
+
 def git_sha() -> str | None:
-    """The current commit, or ``None`` outside a git checkout."""
+    """The current commit, ``<sha>-dirty`` when a tracked file other than
+    the benches' own artifacts differs from it, or ``None`` outside a git
+    checkout."""
     try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=BENCH_DIR,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        ).stdout.strip()
+        sha = _git("rev-parse", "HEAD")
+        changed = _git(
+            "status", "--porcelain", "--untracked-files=no", "--", ":/",
+            *SELF_WRITTEN,
+        )
     except (OSError, subprocess.SubprocessError):
         return None
+    return f"{sha}-dirty" if changed else sha
 
 
 def write_bench(scenario: str, results, header=None) -> Path:

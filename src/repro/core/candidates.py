@@ -563,8 +563,14 @@ class EffectiveCandidateCache:
         self._sorted = self._finalize_sorted()
 
     def _make_batch(self, world: World, protocol: Protocol) -> BatchContext:
-        """This refresh's batch-generation context over the synced columns
-        (raises ``OverflowError`` beyond ``MAX_TAG_COMPONENTS``)."""
+        """This refresh's batch-generation context over the synced columns.
+
+        The context reuses the index's tagged occupancy unless the sync
+        saw geometry move, so only a refresh that rebuilds it can raise
+        ``OverflowError`` (components beyond ``MAX_TAG_COMPONENTS``). A
+        handler program's hint verdicts live on the program and carry over
+        from one context to the next.
+        """
         idx = get_index(world)
         idx.sync()
         return BatchContext(world, protocol, protocol.program, idx)
@@ -835,7 +841,7 @@ class EffectiveCandidateCache:
         pcid = batch.idx.cid[partner]
         components = world.components
         clean = np.ones(len(rows), dtype=bool)
-        for cid in np.unique(pcid).tolist():
+        for cid in np.flatnonzero(np.bincount(pcid)).tolist():
             comp = components.get(cid)
             if (
                 comp is None
@@ -858,7 +864,7 @@ class EffectiveCandidateCache:
         occ_tags = batch.occ_tags
         new_arr = np.fromiter(new_cells, np.int64, count=len(new_cells))
         drop = np.zeros(len(rows), dtype=bool)
-        for code in np.unique(codes[clean]).tolist():
+        for code in np.flatnonzero(np.bincount(codes[clean])).tolist():
             sel = clean & (codes == code)
             a = sel & first
             if a.any():

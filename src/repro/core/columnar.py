@@ -10,6 +10,13 @@ member arrays, all kept in sync **through the existing journals** (the
 parallel write path: a mutation that reaches the cache's journals reaches
 the columns, and nothing else can move them.
 
+The index also keeps the *global tagged occupancy* the kernels probe
+(:meth:`ColumnarIndex.occupancy`): every node's ``component rank <<
+CELL_TAG_SHIFT | packed cell``, sorted. It reads only the ``cid`` and
+``cell`` columns, so it is rebuilt only after :meth:`ColumnarIndex.sync`
+sees geometry move (a component version, a component appearing or
+vanishing, the columns growing, a rebuild), not on every refresh.
+
 On top of the columns, :class:`BatchContext` rewrites the candidate
 layer's three hot kernels as batch operations over whole dirty
 neighborhoods, for every compiled program (exact rule tables and
@@ -19,8 +26,10 @@ every oriented port hint, node pair and alignment rotation:
 
 1. *gate filtering* — the program's hot / pair gates applied once per
    partner *state* with the survivors gathered as boolean masks over the
-   member arrays, instead of one probe per node; the oriented port hints
-   become a hint axis of the broadcast;
+   member arrays, instead of one probe per node; a partner state none of
+   whose members lies outside the dirty component is skipped before the
+   gates (its members are counted per component, never per population);
+   the oriented port hints become a hint axis of the broadcast;
 2. *occupancy-collision pruning* — open host slots for every (node,
    hint) pair in one membership test against the global tagged
    occupancy; the alignment rotations of every (slot, partner) pair read
@@ -31,12 +40,14 @@ every oriented port hint, node pair and alignment rotation:
    :data:`PROBE_BUDGET` elements;
 3. *transition dispatch* — none for an exact rule table, whose gates are
    complete, so every surviving row is effective; a handler-lowered
-   program (``exact = False``) gets one ``lookup`` per hint that kept a
-   row, which decides all of that hint's rows, and its ineffective rows
-   are counted and dropped in the kernel. Each permissible row is emitted
-   exactly once, as the ``(hi, lo)`` sort key the store keeps, in chunks
-   of ``(his, los, evaluated)`` (the update itself is looked up only for
-   an entry the scheduler reads).
+   program (``exact = False``) decides each hint by one ``lookup`` the
+   first time the hint keeps a row, keeps the answer in the program's
+   verdict array for that state pair
+   (:meth:`~repro.core.program.MemoProgram.hint_verdicts`), and drops
+   ineffective rows by one gather of it after counting them. Each
+   permissible row is emitted exactly once, as the ``(hi, lo)`` sort key
+   the store keeps, in chunks of ``(his, los, evaluated)`` (the update
+   itself is looked up only for an entry the scheduler reads).
 
 numpy is a required dependency: this is the only candidate backend.
 
@@ -259,6 +270,14 @@ def packed_sort_key(cand) -> Tuple[int, int]:
 # The flat columns
 # ----------------------------------------------------------------------
 
+#: Bits reserved for the packed cell inside an occupancy tag; the rest
+#: holds the dense component index, so one sorted array answers "is this
+#: cell occupied *in this component*" for every component at once.
+CELL_TAG_SHIFT = 48
+#: Components addressable by one tag array (dense index must fit above
+#: the cell bits of an int64); far beyond any simulated population.
+MAX_TAG_COMPONENTS = 1 << 14
+
 
 class ColumnarIndex:
     """Flat per-node columns mirroring one ``World``, journal-synced.
@@ -275,6 +294,14 @@ class ColumnarIndex:
       members wholesale (cells, orientations, membership, size);
     * an adopted state space or a truncated journal triggers a full
       rebuild — never a stale column.
+
+    The index also owns the *tagged occupancy* the batch kernels probe
+    (:meth:`occupancy`), a function of the ``cid`` and ``cell`` columns
+    alone. It is built on first use and kept until :meth:`sync` sees those
+    columns move: a component version moving, a component appearing or
+    vanishing, the columns growing, or a rebuild. A state write moves only
+    ``sid``, so a run whose events rewrite states keeps one occupancy
+    across all of them.
     """
 
     def __init__(self, world) -> None:
@@ -291,6 +318,8 @@ class ColumnarIndex:
         #: sid -> sorted member-id array (lazy, dropped when a member
         #: enters or leaves the state).
         self._members: Dict[int, object] = {}
+        #: ``(node_tag, occ_tags)`` (lazy, see :meth:`occupancy`).
+        self._occ = None
         self.syncs = 0
         self.rebuilds = 0
 
@@ -307,6 +336,7 @@ class ColumnarIndex:
                 new[: len(old)] = old
                 setattr(self, name, new)
         self._n = n
+        self._occ = None
 
     # ------------------------------------------------------------------
 
@@ -348,6 +378,7 @@ class ColumnarIndex:
             if versions.get(cid) == comp.version:
                 continue
             versions[cid] = comp.version
+            self._occ = None
             g = w.geometry(comp)
             size = len(g.pos_of)
             for nid, p in g.pos_of.items():
@@ -355,8 +386,10 @@ class ColumnarIndex:
                 csize_col[nid] = size
                 cell_col[nid] = p
                 orient_col[nid] = ORIENT_ID[nodes[nid].orientation.matrix]
-        for cid in [c for c in versions if c not in live]:
-            del versions[cid]
+        if len(versions) > len(live):
+            for cid in [c for c in versions if c not in live]:
+                del versions[cid]
+            self._occ = None
 
     def _rebuild(self) -> None:
         w = self._world
@@ -365,6 +398,7 @@ class ColumnarIndex:
         self._cursor = w.change_cursor()
         self._versions = {}
         self._members.clear()
+        self._occ = None
         self._n = 0
         self._grow(w._next_nid)
         nodes = w.nodes
@@ -393,9 +427,42 @@ class ColumnarIndex:
             self._members[sid] = arr
         return arr
 
+    def occupancy(self):
+        """The global tagged occupancy of the synced columns: ``(node_tag,
+        occ_tags)``, shared by every caller until the next drop, so read
+        it, never write it.
+
+        Each component gets a dense index (the rank of its cid), each node
+        the tag base ``dense_index << CELL_TAG_SHIFT`` (``node_tag``), and
+        ``occ_tags`` sorts every node's ``tag | packed_cell``. Built on
+        first use after :meth:`sync` dropped it (see the class docstring);
+        raises ``OverflowError`` when the components outnumber
+        :data:`MAX_TAG_COMPONENTS`.
+        """
+        occ = self._occ
+        if occ is None:
+            occ = self._occ = self._tag_occupancy()
+        return occ
+
+    def _tag_occupancy(self):
+        cid_col = self.cid[: self._n]
+        cids = np.unique(cid_col)
+        if len(cids) > MAX_TAG_COMPONENTS:
+            raise OverflowError(
+                f"{len(cids)} components exceed the occupancy-tag range "
+                f"({MAX_TAG_COMPONENTS})"
+            )
+        node_tag = np.searchsorted(cids, cid_col) << CELL_TAG_SHIFT
+        occ_tags = np.sort(node_tag | self.cell[: self._n])
+        return node_tag, occ_tags
+
     def verify(self, world) -> None:
-        """Assert every column equals the dict world (coherence tests)."""
+        """Assert every column, and a cached occupancy, equals what the
+        dict world gives (coherence tests)."""
         assert world is self._world
+        if self._occ is not None:
+            for cached, fresh in zip(self._occ, self._tag_occupancy()):
+                assert np.array_equal(cached, fresh), "occupancy"
         for nid, rec in world.nodes.items():
             comp = world.components[rec.component_id]
             g = world.geometry(comp)
@@ -526,15 +593,6 @@ def in_sorted(values, sorted_arr):
     return sorted_arr[pos] == values
 
 
-#: Bits reserved for the packed cell inside an occupancy tag; the rest
-#: holds the dense component index, so one sorted array answers "is this
-#: cell occupied *in this component*" for every component at once.
-CELL_TAG_SHIFT = 48
-#: Components addressable by one tag array (dense index must fit above
-#: the cell bits of an int64); far beyond any simulated population.
-MAX_TAG_COMPONENTS = 1 << 14
-
-
 class BatchContext:
     """One refresh's batch-generation state for a (world, protocol) pair.
 
@@ -545,16 +603,21 @@ class BatchContext:
     filter, so every row is effective and no ``lookup`` runs. A
     handler-lowered program's (``exact = False``) hints only
     over-approximate, so one ``lookup`` per port-pair hint decides whether
-    every row of that hint is effective; the kernel counts the rows of an
-    ineffective hint as evaluations and does not emit them.
+    every row of that hint is effective, once per program (the verdicts
+    stay in :meth:`~repro.core.program.MemoProgram.hint_verdicts`); the
+    kernel counts the rows of an ineffective hint as evaluations and does
+    not emit them.
 
-    The context carries a *global tagged occupancy*: each component gets a
-    dense index (rank of its cid), and every node contributes the tag
-    ``dense_index << 48 | packed_cell`` to one sorted int64 array. Open-slot
-    checks and collision probes against *any* component then become
-    ``searchsorted`` membership tests on this single array — the kernels
-    batch across all partner components of a whole dirty component at
-    once, instead of one numpy call per (node, partner component) pair.
+    The context reads the index's *global tagged occupancy*
+    (:meth:`ColumnarIndex.occupancy`): each component gets a dense index
+    (rank of its cid), and every node contributes the tag ``dense_index <<
+    48 | packed_cell`` to one sorted int64 array. Open-slot checks and
+    collision probes against *any* component then become ``searchsorted``
+    membership tests on this single array — the kernels batch across all
+    partner components of a whole dirty component at once, instead of one
+    numpy call per (node, partner component) pair. The index keeps the
+    array between refreshes until geometry moves, so building a context
+    costs nothing on a refresh that only rewrote states.
 
     :meth:`inter_rows` evaluates, for a batch of dirty nodes, exactly the
     gated permissible inter candidates that
@@ -587,18 +650,9 @@ class BatchContext:
         #: ``[dir(d2), dir(d1)]`` -> alignment rotation codes, this world's
         #: dimension.
         self.align = ALIGN_CODES[world.dimension]
-        n = world._next_nid
-        cid_col = idx.cid[:n]
-        cids = np.unique(cid_col)
-        if len(cids) > MAX_TAG_COMPONENTS:
-            raise OverflowError(
-                f"{len(cids)} components exceed the occupancy-tag range "
-                f"({MAX_TAG_COMPONENTS})"
-            )
-        #: Per-node tag base: dense component index in the high bits.
-        self.node_tag = np.searchsorted(cids, cid_col) << CELL_TAG_SHIFT
-        #: The global tagged occupancy, sorted.
-        self.occ_tags = np.sort(self.node_tag | idx.cell[:n])
+        #: Per-node tag base and the sorted global tagged occupancy, as
+        #: the index keeps them between geometry moves.
+        self.node_tag, self.occ_tags = idx.occupancy()
 
     # ------------------------------------------------------------------
 
@@ -614,7 +668,11 @@ class BatchContext:
         Every row is emitted exactly once per call. Grouping: dirty nodes
         by component, then by state. The hot / pair-can-fire gates run
         once per state pair (kernel 1); the member-array masks below them
-        replace per-node probes. Partners in components with a larger cid
+        replace per-node probes. A partner state is asked about only if
+        it has a member outside the dirty component: the component's own
+        members are counted per state (O(component size)) against the
+        state's population, so a state the component holds whole costs
+        one comparison. Partners in components with a larger cid
         are placed into the dirty component's frame, the others host it
         (canonical orientation: the smaller cid holds ``nid1``). A partner
         that is itself in the batch is placed only from the lower-cid
@@ -631,27 +689,31 @@ class BatchContext:
         in_batch = np.zeros(len(idx.cid), dtype=bool)
         in_batch[nid_arr] = True
         my_cids = idx.cid[nid_arr]
-        for cid in np.unique(my_cids).tolist():
+        for cid in sorted(set(my_cids.tolist())):
             dn_comp = nid_arr[my_cids == cid]
             geom = world.geometry(world.components[cid])
+            # Members of the dirty component per state: a partner state
+            # with no member outside it has nothing to place.
+            own = np.bincount(
+                idx.sid[np.fromiter(geom.pos_of, np.int64, len(geom.pos_of))],
+                minlength=len(world.space),
+            ).tolist()
             sids = idx.sid[dn_comp]
-            for sid in np.unique(sids).tolist():
+            for sid in sorted(set(sids.tolist())):
                 dn = dn_comp[sids == sid]
                 nid_hot = is_hot(sid)
-                for partner_sid in world.by_sid:
+                for partner_sid, pmembers in world.by_sid.items():
+                    if own[partner_sid] == len(pmembers):
+                        continue
                     if not (nid_hot or is_hot(partner_sid)):
                         continue
                     if not program.pair_can_fire(sid, partner_sid):
                         continue
                     members = idx.members_array(partner_sid)
-                    if len(members) == 0:
-                        continue
                     pcids = idx.cid[members]
                     mine = pcids == cid
                     if mine.any():
                         members = members[~mine]
-                        if len(members) == 0:
-                            continue
                         pcids = pcids[~mine]
                     guests = pcids > cid
                     g = members[guests]
@@ -684,10 +746,12 @@ class BatchContext:
           rotation code in blocks (:meth:`_probe`);
         * kernel 3, dispatch: an exact program's hints are complete, so
           every row that survives is effective and nothing is looked up.
-          Only a handler-lowered program (``exact = False``) gets one
-          ``lookup`` per hint that kept a row — so a handler only sees
-          interactions that can actually occur — and the rows of a hint
-          it finds ineffective are dropped here.
+          Only a handler-lowered program (``exact = False``) looks up a
+          hint, the first time the hint keeps a row — so a handler only
+          sees interactions that can actually occur — and records the
+          answer in the program's verdict array for ``(hsid, gsid)``. The
+          rows of ineffective hints are then dropped by one gather of
+          that array, which is all a warm call does.
 
         The chunk is ``(his, los, evaluated)``: the sort key halves of the
         effective rows and the number of rows that survived the geometry.
@@ -734,11 +798,16 @@ class BatchContext:
         if not evaluated:
             return
         if not program.exact:
-            effective = np.zeros(len(hints), dtype=bool)
-            for k in np.unique(hint[ok.any(axis=(1, 2))]).tolist():
-                a, b = hints[k]
-                effective[k] = program.lookup(hsid, a, gsid, b, 0) is not None
-            ok &= effective[hint][:, None, None]
+            verdicts = program.hint_verdicts(hsid, gsid)
+            vh = verdicts[hint]
+            unknown = vh < 0
+            if unknown.any():
+                unknown &= ok.any(axis=(1, 2))
+                for k in sorted(set(hint[unknown].tolist())):
+                    a, b = hints[k]
+                    verdicts[k] = program.lookup(hsid, a, gsid, b, 0) is not None
+                vh = verdicts[hint]
+            ok &= (vh > 0)[:, None, None]
         his = (
             ((hosts[slot] << H_NID1_SHIFT) | hbase[hint])[:, None]
             + (guests << H_NID2_SHIFT)
@@ -774,7 +843,7 @@ class BatchContext:
             base = base + t
         hit = np.zeros(len(base), dtype=bool)
         occ_tags = self.occ_tags
-        for c in np.unique(code).tolist():
+        for c in np.flatnonzero(np.bincount(code)).tolist():
             rows = np.flatnonzero(code == c)
             cells = geom.rotated_array(ROT_BY_CODE[c - 1])
             step = max(1, PROBE_BUDGET // len(cells))

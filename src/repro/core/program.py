@@ -45,8 +45,9 @@ on interned ids: the per-node ``sid`` column and per-state-pair gates.
 For an exact program every hinted row is effective, so the kernels never
 dispatch; for a :class:`MemoProgram` they make one
 :meth:`~CompiledProgram.lookup` per ``(state pair, port pair)`` group,
-whose memoized update may be ``None``, and drop those rows after counting
-their evaluations.
+whose memoized update may be ``None``, keep the answer in the program's
+per-state-pair verdict array (:meth:`MemoProgram.hint_verdicts`), and
+drop the ineffective rows after counting their evaluations.
 """
 
 from __future__ import annotations
@@ -459,11 +460,18 @@ class MemoProgram(CompiledProgram):
     every port pair of the protocol's dimension) — decoded once per
     interned state (pair) and memoized, which is sound because hints are
     pure functions of the states. :meth:`can_fire` proves nothing.
+
+    Since the hints over-approximate, the batch kernel decides each kept
+    hint by :meth:`lookup`. It records the answers in
+    :meth:`hint_verdicts`, one array per oriented state pair aligned with
+    :meth:`oriented_hints`, and fills an entry only when its hint first
+    keeps a permissible row, so the handler is still asked only about
+    interactions that can occur.
     """
 
     __slots__ = (
         "_protocol", "_memo", "_ports", "_hot_ids", "_compatible",
-        "_port_hints", "_all_hints",
+        "_port_hints", "_all_hints", "_verdicts",
     )
 
     def __init__(self, protocol) -> None:
@@ -477,6 +485,7 @@ class MemoProgram(CompiledProgram):
         self._hot_ids: Dict[int, bool] = {}
         self._compatible: Dict[int, bool] = {}
         self._port_hints: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._verdicts: Dict[int, object] = {}
         self._all_hints = tuple(
             (PORT_INDEX[p1], PORT_INDEX[p2])
             for p1 in protocol.ports
@@ -524,6 +533,21 @@ class MemoProgram(CompiledProgram):
                 )
             self._port_hints[key] = hints
         return hints
+
+    def hint_verdicts(self, sid1: int, sid2: int):
+        """The kernel's verdicts on ``oriented_hints(sid1, sid2)``: an int8
+        array aligned with the hints, ``1`` where the hint's bond-0
+        ``lookup`` is effective, ``0`` where it is not, and ``-1`` where
+        the kernel has not asked yet. The kernel writes the entries."""
+        key = (sid1 << STATE_BITS) | sid2
+        verdicts = self._verdicts.get(key)
+        if verdicts is None:
+            import numpy as np
+
+            verdicts = self._verdicts[key] = np.full(
+                len(self.oriented_hints(sid1, sid2)), -1, dtype=np.int8
+            )
+        return verdicts
 
     def lookup(self, s1: int, p1: int, s2: int, p2: int, bond: int) -> Optional[Update]:
         key = (s1 << _S1_SHIFT) | (s2 << _S2_SHIFT) | (p1 << _P1_SHIFT) | (p2 << 1) | bond

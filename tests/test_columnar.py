@@ -7,11 +7,13 @@ Pins the invariants the batch kernels rest on:
 * ``(key, hi, lo)`` rows round-trip to the exact ``Candidate``, and the
   identity key is recovered from the sort key alone;
 * ``rotate_by_code`` / ``in_sorted`` agree with their scalar definitions;
-* ``ColumnarIndex`` stays coherent with the dict world through merges;
+* ``ColumnarIndex`` stays coherent with the dict world through merges,
+  its cached occupancy included;
 * the batch kernel emits each of the oracle's effective inter candidates
   exactly once, counts every permissible one, never looks up an exact
   table, and dispatches a handler only on LHSs that have a permissible
-  row;
+  row, cold or warm — on glued worlds and on a counting line whose batch
+  holds every member of several states;
 * the cache's view, which derives each entry from its ``(hi, lo)`` row on
   read, behaves as the reference list and never evaluates or dispatches
   anew when read;
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constructors.counting_line import counting_line_world
 from repro.core import columnar
 from repro.core.candidates import (
     EffectiveCandidateCache,
@@ -287,13 +290,72 @@ def oracle_rows(world, protocol, nids):
     return rows
 
 
+def glued_case(dimension, n, events, seed):
+    """A glued world, its gluing table and a fresh recording handler twin
+    of the table per batch; the batches are every node and every third."""
+    world = glued_world(dimension, n, events, seed)
+    nodes = sorted(world.nodes)
+
+    def protocols(asked):
+        return (
+            gluing_protocol(dimension),
+            gluing_handler_protocol(dimension, asked),
+        )
+
+    return world, protocols, (nodes, nodes[::3])
+
+
+def counting_case(n, events, seed):
+    """A counting-line run stopped mid-count and a fresh recording twin of
+    its protocol; the batch is the leader's line.
+
+    Every member of several states sits in the line, so the kernel skips
+    those partner states, while the free nodes' states have members
+    outside it — one of them exactly one.
+    """
+    world, protocol = counting_line_world(n)
+    sim = Simulation(world, protocol, seed=seed)
+    for _ in range(events):
+        sim.step()
+    states = world.states()
+    leader = next(nid for nid, s in states.items() if s[0] == "L")
+    line = sorted(world.component_of(leader).cells.values())
+    total = Counter(states.values())
+    inside = Counter(states[nid] for nid in line)
+    assert sum(inside[s] == total[s] for s in inside) >= 3, inside
+    assert 1 in [total[s] for s in total if s not in inside], total
+
+    def protocols(asked):
+        def handler(view):
+            asked.append(
+                (view.state1, view.port1, view.state2, view.port2, view.bond)
+            )
+            return protocol.handle(view)
+
+        twin = AgentProtocol(
+            handler,
+            initial_state=protocol.initial_state,
+            leader_state=protocol.leader_state,
+            hot=protocol.is_hot,
+            halted=protocol.is_halted,
+            compatible=protocol.pair_compatible,
+            name="counting-twin",
+        )
+        return (twin,)
+
+    return world, protocols, (line,)
+
+
 @pytest.mark.parametrize("budget", [columnar.PROBE_BUDGET, 3])
 @pytest.mark.parametrize(
-    "dimension, n, events, seed", [(2, 16, 9, 4), (3, 14, 8, 2)]
+    "case, args",
+    [
+        pytest.param(glued_case, (2, 16, 9, 4), id="2-16-9-4"),
+        pytest.param(glued_case, (3, 14, 8, 2), id="3-14-8-2"),
+        pytest.param(counting_case, (16, 20, 3), id="counting-line"),
+    ],
 )
-def test_kernel_rows_match_oracle(
-    dimension, n, events, seed, budget, monkeypatch
-):
+def test_kernel_rows_match_oracle(case, args, budget, monkeypatch):
     # A tiny probe budget splits every collision probe into blocks.
     monkeypatch.setattr(columnar, "PROBE_BUDGET", budget)
     # Record every exact-table lookup (MemoProgram has its own).
@@ -305,19 +367,21 @@ def test_kernel_rows_match_oracle(
         return table_lookup(self, *lhs)
 
     monkeypatch.setattr(CompiledProgram, "lookup", recording_lookup)
-    world = glued_world(dimension, n, events, seed)
-    nodes = sorted(world.nodes)
-    for nids in (nodes, nodes[::3]):
+    world, protocols, batches = case(*args)
+    for nids in batches:
         asked: list = []
-        twin = gluing_handler_protocol(dimension, asked)
-        for protocol in (gluing_protocol(dimension), twin):
+        for protocol in protocols(asked):
             looked_up.clear()
             rows, evaluated = kernel_rows(world, protocol, nids)
-            if protocol is twin:
-                kernel_asked = set(asked)
-            else:
+            if protocol.program.exact:
                 # An exact table's rows are effective by construction.
                 assert looked_up == []
+            else:
+                kernel_asked = set(asked)
+                # Warm, the handler program's stored verdicts drop the
+                # same rows without asking anything anew.
+                assert kernel_rows(world, protocol, nids) == (rows, evaluated)
+                assert set(asked) == kernel_asked
             # Each row once, also when both endpoints are in the batch.
             assert len(set(rows)) == len(rows)
             want = oracle_rows(world, protocol, nids)
@@ -328,10 +392,10 @@ def test_kernel_rows_match_oracle(
                     effective.add((hi, lo))
             assert set(rows) == effective
             # Every permissible row is counted; every exact-table row is
-            # effective, while the handler twin's all-port hints also
-            # evaluate rows it then finds ineffective.
+            # effective, while a handler's all-port hints also evaluate
+            # rows it then finds ineffective.
             assert evaluated == len(want)
-            assert (len(effective) < len(want)) == (protocol is twin)
+            assert (len(effective) < len(want)) != protocol.program.exact
         # The handler was asked about each LHS with a permissible row, and
         # only those.
         lhs = set()
@@ -347,7 +411,7 @@ def test_kernel_rows_match_oracle(
     # A singleton partner keeps every alignment of an open slot: R = 4
     # rotations of one (node, port, node, port) in 3D, one in 2D.
     per_pair = Counter(hi for _key, hi, _lo in want.values())
-    assert max(per_pair.values()) == (4 if dimension == 3 else 1)
+    assert max(per_pair.values()) == (4 if world.dimension == 3 else 1)
 
 
 GLUED_WORLDS = [(2, 16, 9, 4), (3, 14, 8, 2)]
